@@ -1,5 +1,7 @@
 #include "amg/cycle.hpp"
 
+#include <algorithm>
+
 #include "amg/spmv.hpp"
 #include "amg/telemetry.hpp"
 #include "matrix/transpose.hpp"
@@ -12,168 +14,211 @@ namespace hpamg {
 
 namespace {
 
-/// Applies the configured smoother to rows of level L. `pre` selects the
-/// C-then-F (pre) or F-then-C (post) order; zero_init marks a known-zero
-/// initial guess (coarse pre-smoothing), which the optimized hybrid GS
-/// exploits by skipping the upper-triangle/external terms of the first
-/// sub-sweep.
-void smooth(const Hierarchy& h, Level& L, const Vector& b, Vector& x,
-            bool pre, bool zero_init, WorkCounters* wc) {
-  TRACE_SPAN("smoother", "kernel", "rows", std::int64_t(L.n));
+/// One sweep of a smoother that has no block form (lexicographic GS,
+/// multi-color GS, the baseline hybrid GS) on one column.
+void sweep_column(const Hierarchy& h, Level& L, const Vector& b, Vector& x,
+                  Vector& temp, bool pre, WorkCounters* wc) {
+  switch (h.opts.smoother) {
+    case SmootherKind::kLexGS:
+      L.lexgs->sweep(L.A, b, x, true, wc);
+      return;
+    case SmootherKind::kMultiColorGS:
+      // Forward colors pre-smoothing, backward colors post (symmetric
+      // multi-color sweep, as AmgX's smoother does).
+      L.mcgs->sweep(L.A, b, x, pre, wc);
+      return;
+    default:
+      break;
+  }
+  if (!L.gs_base) return;
+  const bool cf = h.opts.cf_smoothing && L.nc > 0 && !L.cf.empty();
+  const signed char* cfm = cf ? L.cf.data() : nullptr;
+  if (!cfm) {
+    L.gs_base->sweep(L.A, b, x, temp, true, nullptr, 0, wc);
+  } else if (pre) {
+    L.gs_base->sweep(L.A, b, x, temp, true, cfm, 1, wc);
+    L.gs_base->sweep(L.A, b, x, temp, true, cfm, -1, wc);
+  } else {
+    L.gs_base->sweep(L.A, b, x, temp, true, cfm, -1, wc);
+    L.gs_base->sweep(L.A, b, x, temp, true, cfm, 1, wc);
+  }
+}
+
+/// Applies the configured smoother to L.x (right-hand side L.b), m
+/// columns. `pre` selects the C-then-F (pre) or F-then-C (post) order;
+/// zero_init marks a known-zero initial guess (coarse pre-smoothing), which
+/// the optimized hybrid GS exploits by skipping the upper-triangle/external
+/// terms of the first sub-sweep. Smoothers without a block form run column
+/// by column: bitwise-equal by construction, but the matrix streams once
+/// per column.
+template <int M>
+void smooth(const Hierarchy& h, Level& L, Int m, bool pre, bool zero_init,
+            WorkCounters* wc) {
+  TRACE_SPAN("smoother", "kernel", "rows", std::int64_t(L.n), "cols",
+             std::int64_t(m));
   const AMGOptions& o = h.opts;
+  const Int mm = M ? M : m;
+  const bool jacobi = o.smoother == SmootherKind::kJacobi;
+  if (!jacobi && !(o.smoother == SmootherKind::kHybridGS && L.gs_opt)) {
+    if (M == 1) {
+      for (Int sweep = 0; sweep < o.num_sweeps; ++sweep)
+        sweep_column(h, L, L.b, L.x, L.temp, pre, wc);
+      return;
+    }
+    Vector b(L.n), x(L.n), temp(L.n);
+    for (Int j = 0; j < mm; ++j) {
+      parallel_for(0, L.n, [&](Int i) {
+        b[i] = L.b[std::size_t(i) * mm + j];
+        x[i] = L.x[std::size_t(i) * mm + j];
+      });
+      for (Int sweep = 0; sweep < o.num_sweeps; ++sweep)
+        sweep_column(h, L, b, x, temp, pre, wc);
+      parallel_for(0, L.n, [&](Int i) { L.x[std::size_t(i) * mm + j] = x[i]; });
+    }
+    return;
+  }
+  const double* b = L.b.data();
+  double* x = L.x.data();
+  double* temp = L.temp.data();
+  const bool cf = o.cf_smoothing && L.nc > 0;
   for (Int sweep = 0; sweep < o.num_sweeps; ++sweep) {
     const bool zi = zero_init && sweep == 0;
-    switch (o.smoother) {
-      case SmootherKind::kJacobi:
-        jacobi_sweep(L.A, b, x, L.temp, 2.0 / 3.0, 0, L.n, wc);
-        break;
-      case SmootherKind::kLexGS:
-        L.lexgs->sweep(L.A, b, x, true, wc);
-        break;
-      case SmootherKind::kMultiColorGS:
-        // Forward colors pre-smoothing, backward colors post (symmetric
-        // multi-color sweep, as AmgX's smoother does).
-        L.mcgs->sweep(L.A, b, x, pre, wc);
-        break;
-      case SmootherKind::kHybridGS: {
-        const bool cf = o.cf_smoothing && L.nc > 0;
-        if (L.gs_opt) {
-          if (!cf) {
-            L.gs_opt->sweep(b, x, L.temp, 0, L.n, true, zi, wc);
-          } else if (pre) {
-            // Coarse block first; with a zero guess the first sub-sweep
-            // reads nothing stale so zero_init applies.
-            L.gs_opt->sweep(b, x, L.temp, 0, L.nc, true, zi, wc);
-            L.gs_opt->sweep(b, x, L.temp, L.nc, L.n, true, false, wc);
-          } else {
-            L.gs_opt->sweep(b, x, L.temp, L.nc, L.n, true, false, wc);
-            L.gs_opt->sweep(b, x, L.temp, 0, L.nc, true, false, wc);
-          }
-        } else if (L.gs_base) {
-          const signed char* cfm = (cf && !L.cf.empty()) ? L.cf.data() : nullptr;
-          if (!cfm) {
-            L.gs_base->sweep(L.A, b, x, L.temp, true, nullptr, 0, wc);
-          } else if (pre) {
-            L.gs_base->sweep(L.A, b, x, L.temp, true, cfm, 1, wc);
-            L.gs_base->sweep(L.A, b, x, L.temp, true, cfm, -1, wc);
-          } else {
-            L.gs_base->sweep(L.A, b, x, L.temp, true, cfm, -1, wc);
-            L.gs_base->sweep(L.A, b, x, L.temp, true, cfm, 1, wc);
-          }
-        }
-        break;
-      }
+    if (jacobi) {
+      block::jacobi_sweep<M>(L.A, b, x, temp, m, 2.0 / 3.0, 0, L.n, wc);
+    } else if (!cf) {
+      L.gs_opt->sweep_block<M>(b, x, temp, m, 0, L.n, true, zi, wc);
+    } else if (pre) {
+      // Coarse block first; with a zero guess the first sub-sweep reads
+      // nothing stale so zero_init applies.
+      L.gs_opt->sweep_block<M>(b, x, temp, m, 0, L.nc, true, zi, wc);
+      L.gs_opt->sweep_block<M>(b, x, temp, m, L.nc, L.n, true, false, wc);
+    } else {
+      L.gs_opt->sweep_block<M>(b, x, temp, m, L.nc, L.n, true, false, wc);
+      L.gs_opt->sweep_block<M>(b, x, temp, m, 0, L.nc, true, false, wc);
     }
   }
 }
 
-void coarse_solve(Hierarchy& h, Level& L, const Vector& b, Vector& x,
-                  WorkCounters* wc) {
-  TRACE_SPAN("coarse_solve", "kernel", "rows", std::int64_t(L.n));
+template <int M>
+void coarse_solve(Hierarchy& h, Level& L, Int m, WorkCounters* wc) {
+  TRACE_SPAN("coarse_solve", "kernel", "rows", std::int64_t(L.n), "cols",
+             std::int64_t(m));
+  const Int mm = M ? M : m;
   if (h.coarse_lu.size() == L.n && L.n > 0) {
-    h.coarse_lu.solve(b.data(), x.data());
-    if (wc) wc->flops += std::uint64_t(L.n) * L.n;  // triangular solves
+    if (M == 1) {
+      h.coarse_lu.solve(L.b.data(), L.x.data());
+    } else {
+      // Column by column through scratch rows of temp (rhs) and r (solution).
+      for (Int j = 0; j < mm; ++j) {
+        for (Int i = 0; i < L.n; ++i) L.temp[i] = L.b[std::size_t(i) * mm + j];
+        h.coarse_lu.solve(L.temp.data(), L.r.data());
+        for (Int i = 0; i < L.n; ++i) L.x[std::size_t(i) * mm + j] = L.r[i];
+      }
+    }
+    if (wc) wc->flops += std::uint64_t(L.n) * L.n * mm;  // triangular solves
     return;
   }
   // Approximate coarse solve by smoothing (paper §2: "...or approximated
   // with a few smoothing steps").
-  set_zero(x);
-  for (int s = 0; s < 8; ++s) smooth(h, L, b, x, s % 2 == 0, s == 0, wc);
+  zero_n(L.x.data(), std::size_t(L.n) * mm);
+  for (int s = 0; s < 8; ++s) smooth<M>(h, L, m, s % 2 == 0, s == 0, wc);
 }
 
-void vcycle_level(Hierarchy& h, Int l, PhaseTimes* pt, WorkCounters* wc,
-                  bool zero_entry = true) {
+template <int M>
+void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
+                  WorkCounters* wc, bool zero_entry = true) {
   TRACE_SPAN("cycle.level", std::int64_t(l));
   live::beat_phase("cycle.level", std::int64_t(l));
   Level& L = h.levels[l];
+  const Int mm = M ? M : m;
   const bool optimized = h.opts.variant == Variant::kOptimized;
+  auto account = [&](const char* phase, const Timer& t) {
+    const double sec = t.seconds();
+    if (pt) pt->add(phase, sec);
+    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+  };
   if (l == h.num_levels() - 1) {
     Timer t;
     {
       attrib::Scope as("coarse_solve", int(l), wc);
-      coarse_solve(h, L, L.b, L.x, wc);
+      coarse_solve<M>(h, L, m, wc);
     }
-    const double sec = t.seconds();
-    if (pt) pt->add("Solve_etc", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    account("Solve_etc", t);
     return;
   }
   Level& N = h.levels[l + 1];
 
-  // Pre-smoothing. Levels below the finest always enter with x = 0.
+  // Pre-smoothing. zero_entry: levels below the finest enter with x = 0 on
+  // their FIRST visit of a cycle; W-cycle revisits carry the accumulated
+  // iterate.
   {
     Timer t;
     {
       attrib::Scope as("smoother", int(l), wc);
-      // zero_entry: levels below the finest enter with x = 0 on their FIRST
-      // visit of a cycle; W-cycle revisits carry the accumulated iterate.
-      smooth(h, L, L.b, L.x, /*pre=*/true, /*zero_init=*/l > 0 && zero_entry,
-             wc);
+      smooth<M>(h, L, m, /*pre=*/true, /*zero_init=*/l > 0 && zero_entry, wc);
     }
-    const double sec = t.seconds();
-    if (pt) pt->add("GS", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    account("GS", t);
   }
   if (l == 0 && h.telemetry && h.telemetry->measure_smoother) {
-    // Diagnostic-only residual after the fine pre-smooth: null counters and
-    // no phase attribution, so the deterministic work/phase sums that
-    // baselines compare against are unchanged by telemetry.
+    // Diagnostic-only residual after the fine pre-smooth (worst column):
+    // null counters and no phase attribution, so the deterministic
+    // work/phase sums that baselines compare against are unchanged by
+    // telemetry.
+    std::vector<double> norms(std::size_t(mm), 0.0);
+    block::spmv_residual_norms<M>(L.A, L.x.data(), L.b.data(), L.r.data(), m,
+                                  norms.data(), nullptr);
     h.telemetry->presmooth_norm2 =
-        spmv_residual_norm2sq_fused(L.A, L.x, L.b, L.r, nullptr);
+        *std::max_element(norms.begin(), norms.end());
   }
 
   // Residual + restriction.
   {
     Timer t;
     attrib::Scope as("residual_restrict", int(l), wc);
-    spmv_residual(L.A, L.x, L.b, L.r, wc);
+    block::spmv_residual<M>(L.A, L.x.data(), L.b.data(), L.r.data(), m, wc);
     if (optimized) {
-      restrict_identity_block(L.PfT, L.r, L.rc_pre, L.nc, wc);
+      block::restrict_identity<M>(L.PfT, L.r.data(), L.rc_pre.data(), L.nc, m,
+                                  wc);
       // Gather into the child's CF-permuted working order.
-      const std::vector<Int>& perm = N.perm.perm;
-      if (!perm.empty()) {
-        parallel_for(0, N.n, [&](Int i) { N.b[i] = L.rc_pre[perm[i]]; });
-      } else {
-        copy(L.rc_pre, N.b);
-      }
+      if (!N.perm.perm.empty())
+        block::gather_rows<M>(N.perm.perm, L.rc_pre.data(), N.b.data(), m);
+      else
+        copy_n(L.rc_pre.data(), N.b.data(), std::size_t(N.n) * mm);
     } else {
       // Baseline: transpose P anew for every restriction (§3.2 calls this
       // out as the dominant SpMV cost in HYPRE_base).
       CSRMatrix R = transpose_serial(L.P, wc);
-      spmv(R, L.r, N.b, wc);
+      block::spmv<M>(R, L.r.data(), N.b.data(), m, wc);
     }
-    const double sec = t.seconds();
-    if (pt) pt->add("SpMV", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    account("SpMV", t);
   }
 
-  set_zero(N.x);
+  zero_n(N.x.data(), std::size_t(N.n) * mm);
   // gamma = 1 is the V-cycle; gamma = 2 revisits the coarse problem (with
   // the accumulated coarse iterate) for a W-cycle.
   for (Int g = 0; g < std::max<Int>(1, h.opts.cycle_gamma); ++g)
-    vcycle_level(h, l + 1, pt, wc, /*zero_entry=*/g == 0);
+    vcycle_level<M>(h, l + 1, m, pt, wc, /*zero_entry=*/g == 0);
 
   // Prolongation: x += P e.
   {
     Timer t;
     attrib::Scope as("prolong", int(l), wc);
     if (optimized) {
-      const std::vector<Int>& perm = N.perm.perm;
-      if (!perm.empty()) {
+      const double* e = N.x.data();
+      if (!N.perm.perm.empty()) {
         // Scatter the child's correction back to this level's coarse
         // numbering, then apply the identity-block interpolation.
-        parallel_for(0, N.n, [&](Int i) { L.rc_pre[perm[i]] = N.x[i]; });
-        interp_add_identity_block(L.Pf, L.rc_pre, L.x, L.nc, wc);
-      } else {
-        interp_add_identity_block(L.Pf, N.x, L.x, L.nc, wc);
+        block::scatter_rows<M>(N.perm.perm, N.x.data(), L.rc_pre.data(), m);
+        e = L.rc_pre.data();
       }
+      block::interp_add_identity<M>(L.Pf, e, L.x.data(), L.nc, m, wc);
     } else {
-      spmv(L.P, N.x, L.temp, wc);
-      axpy(1.0, L.temp, L.x, wc);
+      block::spmv<M>(L.P, N.x.data(), L.temp.data(), m, wc);
+      const std::vector<double> ones(std::size_t(mm), 1.0);
+      block::axpy<M>(ones.data(), L.temp.data(), L.x.data(), L.n, m, nullptr,
+                     wc);
     }
-    const double sec = t.seconds();
-    if (pt) pt->add("SpMV", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    account("SpMV", t);
   }
 
   // Post-smoothing.
@@ -181,176 +226,9 @@ void vcycle_level(Hierarchy& h, Int l, PhaseTimes* pt, WorkCounters* wc,
     Timer t;
     {
       attrib::Scope as("smoother", int(l), wc);
-      smooth(h, L, L.b, L.x, /*pre=*/false, /*zero_init=*/false, wc);
+      smooth<M>(h, L, m, /*pre=*/false, /*zero_init=*/false, wc);
     }
-    const double sec = t.seconds();
-    if (pt) pt->add("GS", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched (multi-RHS) cycle. Mirrors vcycle_level exactly — same smoother
-// order, same restriction/prolongation sequence, no extra norms — so each
-// column evolves bitwise-identically to a scalar cycle on that column.
-// ---------------------------------------------------------------------------
-
-/// Per-column fallback for smoothers without a batched variant: gathers
-/// column j into the level's scalar scratch, runs the scalar sweep, and
-/// scatters back. Bitwise-equal by construction, but re-streams the matrix
-/// once per column.
-void smooth_multi_fallback(const Hierarchy& h, Level& L, const MultiVector& B,
-                           MultiVector& X, bool pre, bool zero_init,
-                           WorkCounters* wc) {
-  for (Int j = 0; j < X.m; ++j) {
-    gather_column(B, j, L.b);
-    gather_column(X, j, L.x);
-    smooth(h, L, L.b, L.x, pre, zero_init, wc);
-    scatter_column(L.x, j, X);
-  }
-}
-
-void smooth_multi(const Hierarchy& h, Level& L, MultiRhsWorkspace& W, Int l,
-                  const MultiVector& B, MultiVector& X, bool pre,
-                  bool zero_init, WorkCounters* wc) {
-  TRACE_SPAN("smoother.multi", "kernel", "rows", std::int64_t(L.n));
-  const AMGOptions& o = h.opts;
-  MultiVector& Temp = W.temp[std::size_t(l)];
-  for (Int sweep = 0; sweep < o.num_sweeps; ++sweep) {
-    const bool zi = zero_init && sweep == 0;
-    switch (o.smoother) {
-      case SmootherKind::kJacobi:
-        jacobi_sweep_multi(L.A, B, X, Temp, 2.0 / 3.0, 0, L.n, wc);
-        break;
-      case SmootherKind::kHybridGS: {
-        if (!L.gs_opt) {
-          smooth_multi_fallback(h, L, B, X, pre, zi, wc);
-          return;  // the fallback already loops num_sweeps internally
-        }
-        const bool cf = o.cf_smoothing && L.nc > 0;
-        if (!cf) {
-          L.gs_opt->sweep_multi(B, X, Temp, 0, L.n, true, zi, wc);
-        } else if (pre) {
-          L.gs_opt->sweep_multi(B, X, Temp, 0, L.nc, true, zi, wc);
-          L.gs_opt->sweep_multi(B, X, Temp, L.nc, L.n, true, false, wc);
-        } else {
-          L.gs_opt->sweep_multi(B, X, Temp, L.nc, L.n, true, false, wc);
-          L.gs_opt->sweep_multi(B, X, Temp, 0, L.nc, true, false, wc);
-        }
-        break;
-      }
-      case SmootherKind::kLexGS:
-      case SmootherKind::kMultiColorGS:
-        smooth_multi_fallback(h, L, B, X, pre, zi, wc);
-        return;  // ditto: internal num_sweeps loop
-    }
-  }
-}
-
-void coarse_solve_multi(Hierarchy& h, Level& L, MultiRhsWorkspace& W, Int l,
-                        const MultiVector& B, MultiVector& X,
-                        WorkCounters* wc) {
-  TRACE_SPAN("coarse_solve_multi", "kernel", "rows", std::int64_t(L.n));
-  if (h.coarse_lu.size() == L.n && L.n > 0) {
-    for (Int j = 0; j < B.m; ++j) {
-      gather_column(B, j, L.b);
-      h.coarse_lu.solve(L.b.data(), L.x.data());
-      scatter_column(L.x, j, X);
-    }
-    if (wc) wc->flops += std::uint64_t(L.n) * L.n * std::uint64_t(B.m);
-    return;
-  }
-  set_zero(X);
-  for (int s = 0; s < 8; ++s)
-    smooth_multi(h, L, W, l, B, X, s % 2 == 0, s == 0, wc);
-}
-
-void vcycle_level_multi(Hierarchy& h, Int l, PhaseTimes* pt,
-                        WorkCounters* wc, bool zero_entry = true) {
-  TRACE_SPAN("cycle.level_multi", std::int64_t(l));
-  live::beat_phase("cycle.level_multi", std::int64_t(l));
-  Level& L = h.levels[l];
-  MultiRhsWorkspace& W = h.multi_ws;
-  const Int m = W.m;
-  const bool optimized = h.opts.variant == Variant::kOptimized;
-  MultiVector& Wb = W.b[std::size_t(l)];
-  MultiVector& Wx = W.x[std::size_t(l)];
-  if (l == h.num_levels() - 1) {
-    Timer t;
-    coarse_solve_multi(h, L, W, l, Wb, Wx, wc);
-    if (pt) pt->add("Solve_etc", t.seconds());
-    return;
-  }
-  Level& N = h.levels[l + 1];
-  MultiVector& Wr = W.r[std::size_t(l)];
-  MultiVector& Wrc = W.rc_pre[std::size_t(l)];
-  MultiVector& Nb = W.b[std::size_t(l + 1)];
-  MultiVector& Nx = W.x[std::size_t(l + 1)];
-
-  {
-    Timer t;
-    smooth_multi(h, L, W, l, Wb, Wx, /*pre=*/true,
-                 /*zero_init=*/l > 0 && zero_entry, wc);
-    if (pt) pt->add("GS", t.seconds());
-  }
-
-  {
-    Timer t;
-    spmv_residual_multi(L.A, Wx, Wb, Wr, wc);
-    if (optimized) {
-      restrict_identity_block_multi(L.PfT, Wr, Wrc, L.nc, wc);
-      const std::vector<Int>& perm = N.perm.perm;
-      if (!perm.empty()) {
-        const double* HPAMG_RESTRICT src = Wrc.data.data();
-        double* HPAMG_RESTRICT dst = Nb.data.data();
-        parallel_for(0, N.n, [&](Int i) {
-          const double* HPAMG_RESTRICT s = src + std::size_t(perm[i]) * m;
-          double* HPAMG_RESTRICT d = dst + std::size_t(i) * m;
-          for (Int j = 0; j < m; ++j) d[j] = s[j];
-        });
-      } else {
-        copy(Wrc, Nb);
-      }
-    } else {
-      CSRMatrix R = transpose_serial(L.P, wc);
-      spmv_multi(R, Wr, Nb, wc);
-    }
-    if (pt) pt->add("SpMV", t.seconds());
-  }
-
-  set_zero(Nx);
-  for (Int g = 0; g < std::max<Int>(1, h.opts.cycle_gamma); ++g)
-    vcycle_level_multi(h, l + 1, pt, wc, /*zero_entry=*/g == 0);
-
-  {
-    Timer t;
-    if (optimized) {
-      const std::vector<Int>& perm = N.perm.perm;
-      if (!perm.empty()) {
-        const double* HPAMG_RESTRICT src = Nx.data.data();
-        double* HPAMG_RESTRICT dst = Wrc.data.data();
-        parallel_for(0, N.n, [&](Int i) {
-          const double* HPAMG_RESTRICT s = src + std::size_t(i) * m;
-          double* HPAMG_RESTRICT d = dst + std::size_t(perm[i]) * m;
-          for (Int j = 0; j < m; ++j) d[j] = s[j];
-        });
-        interp_add_identity_block_multi(L.Pf, Wrc, Wx, L.nc, wc);
-      } else {
-        interp_add_identity_block_multi(L.Pf, Nx, Wx, L.nc, wc);
-      }
-    } else {
-      MultiVector& Wtemp = W.temp[std::size_t(l)];
-      spmv_multi(L.P, Nx, Wtemp, wc);
-      const std::vector<double> ones(std::size_t(m), 1.0);
-      axpy_columns(ones, Wtemp, Wx, wc);
-    }
-    if (pt) pt->add("SpMV", t.seconds());
-  }
-
-  {
-    Timer t;
-    smooth_multi(h, L, W, l, Wb, Wx, /*pre=*/false, /*zero_init=*/false, wc);
-    if (pt) pt->add("GS", t.seconds());
+    account("GS", t);
   }
 }
 
@@ -358,113 +236,64 @@ void vcycle_level_multi(Hierarchy& h, Int l, PhaseTimes* pt,
 
 void ensure_multi_workspace(Hierarchy& h, Int m) {
   require(m > 0, "ensure_multi_workspace: m must be positive");
-  MultiRhsWorkspace& W = h.multi_ws;
-  const std::size_t nl = h.levels.size();
-  if (W.m == m && W.b.size() == nl) return;
-  W.m = m;
-  W.b.resize(nl);
-  W.x.resize(nl);
-  W.temp.resize(nl);
-  W.r.resize(nl);
-  W.rc_pre.resize(nl);
-  for (std::size_t l = 0; l < nl; ++l) {
-    const Int n = h.levels[l].n;
-    const Int nc = std::max<Int>(h.levels[l].nc, 1);
-    W.b[l].resize(n, m);
-    W.x[l].resize(n, m);
-    W.temp[l].resize(n, m);
-    W.r[l].resize(n, m);
-    W.rc_pre[l].resize(nc, m);
+  for (Level& L : h.levels) {
+    const std::size_t len = std::size_t(L.n) * std::size_t(m);
+    if (L.b.size() >= len) continue;  // already as wide as m
+    L.b.assign(len, 0.0);
+    L.x.assign(len, 0.0);
+    L.temp.assign(len, 0.0);
+    L.r.assign(len, 0.0);
+    L.rc_pre.assign(std::size_t(std::max<Int>(L.nc, 1)) * m, 0.0);
   }
 }
 
-void vcycle_workspace_multi(Hierarchy& h, const MultiVector& B_work,
-                            MultiVector& X_work, PhaseTimes* pt,
-                            WorkCounters* wc) {
-  require(!h.levels.empty(), "vcycle_multi: empty hierarchy");
-  require(B_work.m == X_work.m, "vcycle_multi: column count mismatch");
-  ensure_multi_workspace(h, B_work.m);
-  copy(B_work, h.multi_ws.b[0]);
-  copy(X_work, h.multi_ws.x[0]);
-  vcycle_level_multi(h, 0, pt, wc);
-  copy(h.multi_ws.x[0], X_work);
+template <int M>
+void vcycle_block(Hierarchy& h, const double* b, double* x, Int m,
+                  bool work_order, PhaseTimes* pt, WorkCounters* wc) {
+  TRACE_SPAN("cycle.v", "phase");
+  require(!h.levels.empty(), "vcycle: empty hierarchy");
+  ensure_multi_workspace(h, m);
+  Level& L0 = h.levels[0];
+  const std::size_t len = std::size_t(L0.n) * (M ? M : m);
+  const std::vector<Int>& perm = L0.perm.perm;
+  if (work_order || h.opts.variant != Variant::kOptimized || perm.empty()) {
+    copy_n(b, L0.b.data(), len);
+    copy_n(x, L0.x.data(), len);
+    vcycle_level<M>(h, 0, m, pt, wc);
+    copy_n(L0.x.data(), x, len);
+    return;
+  }
+  Timer t;
+  block::gather_rows<M>(perm, b, L0.b.data(), m);
+  block::gather_rows<M>(perm, x, L0.x.data(), m);
+  if (pt) pt->add("Solve_etc", t.seconds());
+  vcycle_level<M>(h, 0, m, pt, wc);
+  t.reset();
+  block::scatter_rows<M>(perm, L0.x.data(), x, m);
+  if (pt) pt->add("Solve_etc", t.seconds());
+}
+
+template void vcycle_block<0>(Hierarchy&, const double*, double*, Int, bool,
+                              PhaseTimes*, WorkCounters*);
+template void vcycle_block<1>(Hierarchy&, const double*, double*, Int, bool,
+                              PhaseTimes*, WorkCounters*);
+
+void vcycle(Hierarchy& h, const Vector& b, Vector& x, PhaseTimes* pt,
+            WorkCounters* wc) {
+  require(!h.levels.empty() && Int(b.size()) >= h.levels[0].n &&
+              Int(x.size()) >= h.levels[0].n,
+          "vcycle: vector size mismatch");
+  vcycle_block<1>(h, b.data(), x.data(), 1, false, pt, wc);
 }
 
 void vcycle_multi(Hierarchy& h, const MultiVector& B, MultiVector& X,
                   PhaseTimes* pt, WorkCounters* wc) {
-  TRACE_SPAN("cycle.v_multi", "phase");
   require(!h.levels.empty(), "vcycle_multi: empty hierarchy");
-  require(B.m == X.m, "vcycle_multi: column count mismatch");
-  ensure_multi_workspace(h, B.m);
-  Level& L0 = h.levels[0];
-  MultiVector& Wb = h.multi_ws.b[0];
-  MultiVector& Wx = h.multi_ws.x[0];
-  const bool permuted = h.opts.variant == Variant::kOptimized &&
-                        !L0.perm.perm.empty();
-  if (!permuted) {
-    copy(B, Wb);
-    copy(X, Wx);
-    vcycle_level_multi(h, 0, pt, wc);
-    copy(Wx, X);
-    return;
-  }
-  Timer t;
-  const Int m = B.m;
-  const std::vector<Int>& perm = L0.perm.perm;
-  parallel_for(0, L0.n, [&](Int i) {
-    const std::size_t src = std::size_t(perm[i]) * m;
-    const std::size_t dst = std::size_t(i) * m;
-    for (Int j = 0; j < m; ++j) {
-      Wb.data[dst + j] = B.data[src + j];
-      Wx.data[dst + j] = X.data[src + j];
-    }
+  require(B.m == X.m && B.n == h.levels[0].n && X.n == h.levels[0].n,
+          "vcycle_multi: shape mismatch");
+  with_width(B.m, [&]<int M>() {
+    vcycle_block<M>(h, B.data.data(), X.data.data(), B.m, false, pt, wc);
   });
-  if (pt) pt->add("Solve_etc", t.seconds());
-  vcycle_level_multi(h, 0, pt, wc);
-  t.reset();
-  parallel_for(0, L0.n, [&](Int i) {
-    const std::size_t src = std::size_t(i) * m;
-    const std::size_t dst = std::size_t(perm[i]) * m;
-    for (Int j = 0; j < m; ++j) X.data[dst + j] = h.multi_ws.x[0].data[src + j];
-  });
-  if (pt) pt->add("Solve_etc", t.seconds());
-}
-
-void vcycle_workspace(Hierarchy& h, const Vector& b_work, Vector& x_work,
-                      PhaseTimes* pt, WorkCounters* wc) {
-  require(!h.levels.empty(), "vcycle: empty hierarchy");
-  Level& L0 = h.levels[0];
-  copy(b_work, L0.b);
-  copy(x_work, L0.x);
-  vcycle_level(h, 0, pt, wc);
-  copy(L0.x, x_work);
-}
-
-void vcycle(Hierarchy& h, const Vector& b, Vector& x, PhaseTimes* pt,
-            WorkCounters* wc) {
-  TRACE_SPAN("cycle.v", "phase");
-  require(!h.levels.empty(), "vcycle: empty hierarchy");
-  Level& L0 = h.levels[0];
-  const bool permuted = h.opts.variant == Variant::kOptimized &&
-                        !L0.perm.perm.empty();
-  if (!permuted) {
-    copy(b, L0.b);
-    copy(x, L0.x);
-    vcycle_level(h, 0, pt, wc);
-    copy(L0.x, x);
-    return;
-  }
-  Timer t;
-  const std::vector<Int>& perm = L0.perm.perm;
-  parallel_for(0, L0.n, [&](Int i) {
-    L0.b[i] = b[perm[i]];
-    L0.x[i] = x[perm[i]];
-  });
-  if (pt) pt->add("Solve_etc", t.seconds());
-  vcycle_level(h, 0, pt, wc);
-  t.reset();
-  parallel_for(0, L0.n, [&](Int i) { x[perm[i]] = L0.x[i]; });
-  if (pt) pt->add("Solve_etc", t.seconds());
 }
 
 }  // namespace hpamg

@@ -21,28 +21,27 @@ namespace hpamg {
 void vcycle(Hierarchy& h, const Vector& b, Vector& x,
             PhaseTimes* pt = nullptr, WorkCounters* wc = nullptr);
 
-/// Same, but b/x are already in level-0 working (permuted) order. The
-/// standalone solver keeps its vectors permuted across iterations and uses
-/// this entry point to avoid per-cycle gathers.
-void vcycle_workspace(Hierarchy& h, const Vector& b_work, Vector& x_work,
-                      PhaseTimes* pt = nullptr, WorkCounters* wc = nullptr);
-
-/// Sizes h.multi_ws for m right-hand sides (no-op if already sized). The
-/// batched cycle entry points below call this themselves; benches may call
+/// Grows every level's solve workspace (Level::{b,x,temp,r,rc_pre}) to
+/// n x m row-major blocks; a no-op once the hierarchy has seen a width of m
+/// or more. The batched entry points call this themselves; benches may call
 /// it up front to keep allocation out of timed regions.
 void ensure_multi_workspace(Hierarchy& h, Int m);
 
 /// Batched V-cycle over all columns of B/X (original input ordering).
 /// Column j of the result is bitwise-equal to vcycle() applied to column j
-/// alone when the smoother has a batched variant (hybrid GS optimized,
-/// Jacobi); other smoothers fall back to per-column sweeps and are equal by
-/// construction.
+/// alone: the hybrid-GS (optimized) and Jacobi smoothers sweep the whole
+/// block, the others sweep column by column.
 void vcycle_multi(Hierarchy& h, const MultiVector& B, MultiVector& X,
                   PhaseTimes* pt = nullptr, WorkCounters* wc = nullptr);
 
-/// Batched V-cycle with B/X already in level-0 working (permuted) order.
-void vcycle_workspace_multi(Hierarchy& h, const MultiVector& B_work,
-                            MultiVector& X_work, PhaseTimes* pt = nullptr,
-                            WorkCounters* wc = nullptr);
+/// The one V-cycle implementation behind both entry points, on n x m
+/// row-major blocks (M as in with_width, matrix/vector_ops.hpp).
+/// `work_order`: b and x are already in level-0 working (CF-permuted)
+/// order, as the standalone solver keeps them across iterations to avoid
+/// per-cycle gathers.
+template <int M>
+void vcycle_block(Hierarchy& h, const double* b, double* x, Int m,
+                  bool work_order, PhaseTimes* pt = nullptr,
+                  WorkCounters* wc = nullptr);
 
 }  // namespace hpamg

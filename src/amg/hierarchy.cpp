@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "amg/cycle.hpp"
 #include "amg/interp_classical.hpp"
 #include "matrix/transpose.hpp"
 #include "spgemm/rap.hpp"
@@ -129,33 +130,6 @@ CSRMatrix build_interp_2stage(const CSRMatrix& A, const CSRMatrix& S,
   CSRMatrix P = optimized ? spgemm_onepass(P1, P2, {}, wc)
                           : spgemm_twopass(P1, P2, wc);
   return truncate_interpolation(P, o.truncation, wc);
-}
-
-void build_smoother_plans(Level& L, const AMGOptions& o) {
-  switch (o.smoother) {
-    case SmootherKind::kHybridGS:
-      if (o.variant == Variant::kOptimized)
-        L.gs_opt = std::make_unique<HybridGSOptimized>(L.A, o.gs_partitions);
-      else
-        L.gs_base = std::make_unique<HybridGSBaseline>(L.A, o.gs_partitions);
-      break;
-    case SmootherKind::kLexGS:
-      L.lexgs = std::make_unique<LexGS>(L.A);
-      break;
-    case SmootherKind::kMultiColorGS:
-      L.mcgs = std::make_unique<MultiColorGS>(L.A);
-      break;
-    case SmootherKind::kJacobi:
-      break;
-  }
-}
-
-void size_workspace(Level& L) {
-  L.b.assign(L.n, 0.0);
-  L.x.assign(L.n, 0.0);
-  L.temp.assign(L.n, 0.0);
-  L.r.assign(L.n, 0.0);
-  L.rc_pre.assign(std::max<Int>(L.nc, 1), 0.0);
 }
 
 }  // namespace
@@ -376,11 +350,10 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
       h.events.push_back(std::move(ev));
     }
 
-    // ---- Smoother plans + workspace ----
+    // ---- Smoother plans ----
     {
       ScopedPhase sp(h.setup_times, "Setup_etc");
       build_smoother_plans(L, opts);
-      size_workspace(L);
       h.stats.push_back({L.n, L.A.nnz(), L.nc,
                          optimized ? L.Pf.nnz() + nc : L.P.nnz()});
     }
@@ -418,9 +391,9 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
       // is common for the coarsest level.
       build_smoother_plans(L, opts);
     }
-    size_workspace(L);
     h.stats.push_back({L.n, L.A.nnz(), 0, 0});
     h.levels.push_back(std::move(L));
+    ensure_multi_workspace(h, 1);  // the solve workspace, one column wide
   }
 
   // Whole-hierarchy consistency audit (P/R dims, Galerkin size chain) —
@@ -450,6 +423,29 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
     }
   }
   return h;
+}
+
+void build_smoother_plans(Level& L, const AMGOptions& o) {
+  L.gs_base.reset();
+  L.gs_opt.reset();
+  L.lexgs.reset();
+  L.mcgs.reset();
+  switch (o.smoother) {
+    case SmootherKind::kHybridGS:
+      if (o.variant == Variant::kOptimized)
+        L.gs_opt = std::make_unique<HybridGSOptimized>(L.A, o.gs_partitions);
+      else
+        L.gs_base = std::make_unique<HybridGSBaseline>(L.A, o.gs_partitions);
+      break;
+    case SmootherKind::kLexGS:
+      L.lexgs = std::make_unique<LexGS>(L.A);
+      break;
+    case SmootherKind::kMultiColorGS:
+      L.mcgs = std::make_unique<MultiColorGS>(L.A);
+      break;
+    case SmootherKind::kJacobi:
+      break;
+  }
 }
 
 std::string hierarchy_summary(const Hierarchy& h) {

@@ -90,7 +90,9 @@ struct Level {
   std::unique_ptr<LexGS> lexgs;
   std::unique_ptr<MultiColorGS> mcgs;
 
-  // --- solve-phase workspace (sized at setup; no allocation per cycle) ---
+  // --- solve-phase workspace: n x m row-major blocks (rc_pre: nc x m),
+  // sized for m = 1 at setup and grown to the widest m a batched solve has
+  // asked for (ensure_multi_workspace, cycle.hpp); no allocation per cycle.
   Vector b, x, temp, r, rc_pre;
 };
 
@@ -112,20 +114,10 @@ struct LevelMemory {
   std::uint64_t workspace_bytes = 0;
 };
 
-/// Per-level multi-RHS solve workspace: the batched analogue of the
-/// Level::{b,x,temp,r,rc_pre} scratch vectors, sized lazily for a given
-/// column count by ensure_multi_workspace (cycle.hpp). Kept out of Level so
-/// single-RHS solves pay nothing for the multi-RHS capability.
-struct MultiRhsWorkspace {
-  Int m = 0;  ///< column count the per-level multivectors are sized for
-  std::vector<MultiVector> b, x, temp, r, rc_pre;  ///< indexed per level
-};
-
 struct Hierarchy {
   AMGOptions opts;
   std::vector<Level> levels;
   LUSolver coarse_lu;
-  MultiRhsWorkspace multi_ws;  ///< lazily sized; see ensure_multi_workspace
   PhaseTimes setup_times;   ///< Strength+Coarsen / Interp / RAP / Setup_etc
   WorkCounters setup_work;
   std::vector<LevelStats> stats;
@@ -171,6 +163,10 @@ Int count_degenerate_diag(const CSRMatrix& A,
 /// zeroed — the regularized-coarse-solve fallback shared by the
 /// single-node and distributed setups.
 CSRMatrix regularize_diagonal(const CSRMatrix& A, double shift);
+
+/// (Re)builds level L's smoother plan for o.smoother / o.variant from L.A
+/// (plans hold inverse diagonals, so a value refresh rebuilds them).
+void build_smoother_plans(Level& L, const AMGOptions& o);
 
 /// Human-readable hierarchy table (one line per level).
 std::string hierarchy_summary(const Hierarchy& h);

@@ -1,21 +1,24 @@
 // Row-major multivector X[n][m]: m right-hand sides stored interleaved so
-// the batched kernels (amg/spmv, amg/smoother, amg/cycle, dist/halo) read
-// each matrix row once and apply it to all m columns — the XAMG-style
-// multi-RHS generalization (ROADMAP item 1). Row-major layout is the one
-// that amortizes matrix traffic: the m values of one vector row share the
-// cache lines the row's nonzeros touch.
+// the solve-layer kernels (amg/spmv, amg/smoother, amg/cycle, dist/halo)
+// read each matrix row once and apply it to all m columns — the XAMG-style
+// multi-RHS generalization. Row-major layout is the one that amortizes
+// matrix traffic: the m values of one vector row share the cache lines the
+// row's nonzeros touch.
 //
-// Column j of a MultiVector corresponds to one scalar Vector; the batched
-// kernels are written so each column's arithmetic order is identical to the
-// scalar kernel's, making batched and scalar results bitwise-equal
-// (tests/test_multirhs.cpp pins this).
+// Every solve-layer algorithm has exactly one implementation, written for
+// an n x m row-major block and compiled twice (see with_width,
+// matrix/vector_ops.hpp): M = 1, the
+// single-column instance behind every Vector entry point, and M = 0, any m.
+// A Vector is the m = 1 block. Per column the arithmetic order is the same
+// in both instances, so column j of a batched result is bitwise-equal to
+// the single-column call on column j (tests/test_multirhs.cpp pins this).
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "matrix/vector_ops.hpp"
 #include "support/common.hpp"
-#include "support/counters.hpp"
 
 namespace hpamg {
 
@@ -40,41 +43,31 @@ struct MultiVector {
   const double* row(Int i) const { return data.data() + std::size_t(i) * m; }
 };
 
-/// Largest column count the batched kernels process per pass over the
-/// matrix; wider multivectors are handled in blocks of this many columns
-/// (keeps the per-row accumulators in registers/stack).
-inline constexpr Int kMaxRhsBlock = 32;
+/// Largest of the per-column relative residuals — the column that decides
+/// when a batched solve finishes; a non-finite column wins outright.
+inline double worst_column(const std::vector<double>& relres) {
+  double worst = 0.0;
+  for (const double r : relres) {
+    if (!std::isfinite(r)) return r;
+    if (r > worst) worst = r;
+  }
+  return worst;
+}
+
+namespace block {
+
+/// dst row i = src row perm[i] (into a CF-permuted working order).
+template <int M>
+void gather_rows(const std::vector<Int>& perm, const double* src, double* dst,
+                 Int m);
+/// dst row perm[i] = src row i (back out of a working order).
+template <int M>
+void scatter_rows(const std::vector<Int>& perm, const double* src,
+                  double* dst, Int m);
+
+}  // namespace block
 
 /// X = 0
 void set_zero(MultiVector& X);
-
-/// dst = src (shapes must match)
-void copy(const MultiVector& src, MultiVector& dst);
-
-/// out = column j of X (out resized to X.n)
-void gather_column(const MultiVector& X, Int j, Vector& out);
-
-/// column j of X = in (in.size() must be >= X.n)
-void scatter_column(const Vector& in, Int j, MultiVector& X);
-
-/// Per-column axpy: Y_j += alpha[j] * X_j for every column j.
-void axpy_columns(const std::vector<double>& alpha, const MultiVector& X,
-                  MultiVector& Y, WorkCounters* wc = nullptr);
-
-/// Per-column xpby: Y_j = X_j + beta[j] * Y_j.
-void xpby_columns(const MultiVector& X, const std::vector<double>& beta,
-                  MultiVector& Y, WorkCounters* wc = nullptr);
-
-/// Per-column scale: X_j *= s[j].
-void scale_columns(const std::vector<double>& s, MultiVector& X,
-                   WorkCounters* wc = nullptr);
-
-/// Per-column inner products: out[j] = <X_j, Y_j>.
-std::vector<double> dot_columns(const MultiVector& X, const MultiVector& Y,
-                                WorkCounters* wc = nullptr);
-
-/// Per-column squared norms: out[j] = <X_j, X_j>.
-std::vector<double> norm2sq_columns(const MultiVector& X,
-                                    WorkCounters* wc = nullptr);
 
 }  // namespace hpamg

@@ -8,50 +8,26 @@
 
 namespace hpamg {
 
-void jacobi_sweep(const CSRMatrix& A, const Vector& b, Vector& x,
-                  Vector& temp, double weight, Int row_lo, Int row_hi,
+namespace block {
+
+template <int M>
+void jacobi_sweep(const CSRMatrix& A, const double* b, double* x, double* temp,
+                  Int m, double weight, Int row_lo, Int row_hi,
                   WorkCounters* wc) {
   if (row_hi < 0) row_hi = A.nrows;
   TRACE_SPAN("smoother.jacobi", "kernel", "rows",
-             std::int64_t(row_hi - row_lo));
-  copy(x, temp);
-  parallel_for(row_lo, row_hi, [&](Int i) {
-    double acc = b[i];
-    double diag = 1.0;
-    for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
-      const Int j = A.colidx[k];
-      if (j == i)
-        diag = A.values[k];
-      else
-        acc -= A.values[k] * temp[j];
-    }
-    x[i] = temp[i] + weight * (acc / diag - temp[i]);
-  });
-  if (wc) {
-    wc->flops += 2 * std::uint64_t(A.rowptr[row_hi] - A.rowptr[row_lo]);
-    wc->bytes_read += std::uint64_t(A.rowptr[row_hi] - A.rowptr[row_lo]) *
-                      (sizeof(Int) + 2 * sizeof(double));
-    wc->bytes_written += std::uint64_t(row_hi - row_lo) * sizeof(double);
-  }
-}
-
-void jacobi_sweep_multi(const CSRMatrix& A, const MultiVector& B,
-                        MultiVector& X, MultiVector& Temp, double weight,
-                        Int row_lo, Int row_hi, WorkCounters* wc) {
-  TRACE_SPAN("smoother.jacobi_multi", "kernel", "rows",
-             std::int64_t(A.nrows));
-  if (row_hi < 0) row_hi = A.nrows;
-  require(X.m == B.m && X.m == Temp.m, "jacobi_sweep_multi: shape mismatch");
-  copy(X, Temp);
-  const Int m = X.m;
-  const double* HPAMG_RESTRICT bp = B.data.data();
-  const double* HPAMG_RESTRICT tp = Temp.data.data();
-  double* HPAMG_RESTRICT xp = X.data.data();
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
+             std::int64_t(row_hi - row_lo), "cols", std::int64_t(m));
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
+  copy_n(x, temp, std::size_t(A.nrows) * mm);
+  const double* HPAMG_RESTRICT bp = b;
+  const double* HPAMG_RESTRICT tp = temp;
+  double* HPAMG_RESTRICT xp = x;
+  for (Int j0 = 0; j0 < mm; j0 += W) {
+    const Int bw = M ? M : std::min(W, mm - j0);
     parallel_for(row_lo, row_hi, [&](Int i) {
-      double acc[kMaxRhsBlock];
-      const double* HPAMG_RESTRICT br = bp + std::size_t(i) * m + j0;
+      double acc[W];
+      const double* HPAMG_RESTRICT br = bp + std::size_t(i) * mm + j0;
       for (Int j = 0; j < bw; ++j) acc[j] = br[j];
       double diag = 1.0;
       for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
@@ -60,12 +36,12 @@ void jacobi_sweep_multi(const CSRMatrix& A, const MultiVector& B,
           diag = A.values[k];
         } else {
           const double v = A.values[k];
-          const double* HPAMG_RESTRICT tr = tp + std::size_t(col) * m + j0;
+          const double* HPAMG_RESTRICT tr = tp + std::size_t(col) * mm + j0;
           for (Int j = 0; j < bw; ++j) acc[j] -= v * tr[j];
         }
       }
-      const double* HPAMG_RESTRICT ti = tp + std::size_t(i) * m + j0;
-      double* HPAMG_RESTRICT xr = xp + std::size_t(i) * m + j0;
+      const double* HPAMG_RESTRICT ti = tp + std::size_t(i) * mm + j0;
+      double* HPAMG_RESTRICT xr = xp + std::size_t(i) * mm + j0;
       for (Int j = 0; j < bw; ++j)
         xr[j] = ti[j] + weight * (acc[j] / diag - ti[j]);
     });
@@ -73,12 +49,26 @@ void jacobi_sweep_multi(const CSRMatrix& A, const MultiVector& B,
   if (wc) {
     const std::uint64_t nnz_range =
         std::uint64_t(A.rowptr[row_hi] - A.rowptr[row_lo]);
-    wc->flops += 2 * nnz_range * std::uint64_t(m);
+    wc->flops += 2 * nnz_range * std::uint64_t(mm);
     wc->bytes_read += nnz_range * (sizeof(Int) + sizeof(double)) +
-                      nnz_range * std::uint64_t(m) * sizeof(double);
+                      nnz_range * std::uint64_t(mm) * sizeof(double);
     wc->bytes_written +=
-        std::uint64_t(row_hi - row_lo) * std::uint64_t(m) * sizeof(double);
+        std::uint64_t(row_hi - row_lo) * std::uint64_t(mm) * sizeof(double);
   }
+}
+
+HPAMG_INSTANTIATE_WIDTHS(jacobi_sweep, const CSRMatrix&, const double*,
+                         double*, double*, Int, double, Int, Int,
+                         WorkCounters*);
+
+}  // namespace block
+
+void jacobi_sweep(const CSRMatrix& A, const Vector& b, Vector& x,
+                  Vector& temp, double weight, Int row_lo, Int row_hi,
+                  WorkCounters* wc) {
+  if (Int(temp.size()) < A.nrows) temp.resize(A.nrows);
+  block::jacobi_sweep<1>(A, b.data(), x.data(), temp.data(), 1, weight,
+                         row_lo, row_hi, wc);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,72 +175,25 @@ HybridGSOptimized::HybridGSOptimized(const CSRMatrix& A, int parts) {
   ptr2_ = std::move(part.ptr2);
 }
 
-void HybridGSOptimized::sweep(const Vector& b, Vector& x, Vector& temp,
-                              Int row_lo, Int row_hi, bool forward,
-                              bool zero_init, WorkCounters* wc) const {
-  TRACE_SPAN("smoother.gs_optimized", "kernel", "rows",
-             std::int64_t(A_.nrows));
-  if (row_hi < 0) row_hi = A_.nrows;
-  if (!zero_init) copy(x, temp);
-  // As in the baseline sweep: partitions are independent within a sweep,
-  // so they are distributed over the ambient team rather than forcing a
-  // num_threads(nt) team per call.
-  const int nt = int(bounds_.size()) - 1;
-  std::vector<WorkCounters> counters(wc ? nt : 0);
-#pragma omp parallel for schedule(static)
-  for (int t = 0; t < nt; ++t) {
-    const Int is = std::max(bounds_[t], row_lo);
-    const Int ie = std::min(bounds_[t + 1], row_hi);
-    WorkCounters local;
-    const Int* HPAMG_RESTRICT colidx = A_.colidx.data();
-    const double* HPAMG_RESTRICT values = A_.values.data();
-    for (Int s = 0; s < ie - is; ++s) {
-      const Int i = forward ? is + s : ie - 1 - s;
-      double acc = b[i];
-      // Local-lower: already updated this sweep — read x directly.
-      for (Int k = A_.rowptr[i]; k < ptr1_[i]; ++k)
-        acc -= values[k] * x[colidx[k]];
-      if (!zero_init) {
-        // Local-upper: previous-sweep values, still in x (Gauss-Seidel).
-        for (Int k = ptr1_[i]; k < ptr2_[i]; ++k)
-          acc -= values[k] * x[colidx[k]];
-        // External: other threads' rows — read the pre-sweep copy.
-        for (Int k = ptr2_[i]; k < A_.rowptr[i + 1]; ++k)
-          acc -= values[k] * temp[colidx[k]];
-        local.flops += 2 * std::uint64_t(A_.rowptr[i + 1] - A_.rowptr[i]);
-      } else {
-        // Upper triangle and external entries multiply known zeros (§3.2):
-        // skip them entirely. Only the forward sweep preserves this
-        // invariant; callers assert forward when zero_init.
-        local.flops += 2 * std::uint64_t(ptr1_[i] - A_.rowptr[i]);
-      }
-      x[i] = acc * inv_diag_[i];
-      local.bytes_read += std::uint64_t(A_.rowptr[i + 1] - A_.rowptr[i]) *
-                          (sizeof(Int) + 2 * sizeof(double));
-      local.bytes_written += sizeof(double);
-    }
-    if (wc) counters[t] = local;
-  }
-  if (wc)
-    for (const WorkCounters& c : counters) *wc += c;
-}
-
-void HybridGSOptimized::sweep_multi(const MultiVector& B, MultiVector& X,
-                                    MultiVector& Temp, Int row_lo, Int row_hi,
+template <int M>
+void HybridGSOptimized::sweep_block(const double* b, double* x, double* temp,
+                                    Int m, Int row_lo, Int row_hi,
                                     bool forward, bool zero_init,
                                     WorkCounters* wc) const {
-  TRACE_SPAN("smoother.gs_optimized_multi", "kernel", "rows",
-             std::int64_t(A_.nrows));
+  TRACE_SPAN("smoother.gs_optimized", "kernel", "rows",
+             std::int64_t(A_.nrows), "cols", std::int64_t(m));
   if (row_hi < 0) row_hi = A_.nrows;
-  require(X.m == B.m && X.m == Temp.m,
-          "HybridGSOptimized::sweep_multi: shape mismatch");
-  if (!zero_init) copy(X, Temp);
-  const Int m = X.m;
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
+  if (!zero_init) copy_n(x, temp, std::size_t(A_.nrows) * mm);
+  // Partitions are independent within a sweep, so they are distributed
+  // over the ambient team rather than forcing a num_threads(nt) team per
+  // call.
   const int nt = int(bounds_.size()) - 1;
   std::vector<WorkCounters> counters(wc ? nt : 0);
-  const double* HPAMG_RESTRICT bp = B.data.data();
-  const double* HPAMG_RESTRICT tp = Temp.data.data();
-  double* HPAMG_RESTRICT xp = X.data.data();
+  const double* HPAMG_RESTRICT bp = b;
+  const double* HPAMG_RESTRICT tp = temp;
+  double* HPAMG_RESTRICT xp = x;
 #pragma omp parallel for schedule(static)
   for (int t = 0; t < nt; ++t) {
     const Int is = std::max(bounds_[t], row_lo);
@@ -258,46 +201,46 @@ void HybridGSOptimized::sweep_multi(const MultiVector& B, MultiVector& X,
     WorkCounters local;
     const Int* HPAMG_RESTRICT colidx = A_.colidx.data();
     const double* HPAMG_RESTRICT values = A_.values.data();
-    // Columns are mutually independent (row i of column j only ever reads
-    // column j), so sweeping the partition once per column block keeps the
-    // per-column update order identical to the scalar sweep.
-    for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-      const Int bw = std::min(kMaxRhsBlock, m - j0);
+    for (Int j0 = 0; j0 < mm; j0 += W) {
+      const Int bw = M ? M : std::min(W, mm - j0);
       for (Int s = 0; s < ie - is; ++s) {
         const Int i = forward ? is + s : ie - 1 - s;
-        double acc[kMaxRhsBlock];
-        const double* HPAMG_RESTRICT br = bp + std::size_t(i) * m + j0;
+        double acc[W];
+        const double* HPAMG_RESTRICT br = bp + std::size_t(i) * mm + j0;
         for (Int j = 0; j < bw; ++j) acc[j] = br[j];
         // Local-lower: already updated this sweep — read x directly.
         for (Int k = A_.rowptr[i]; k < ptr1_[i]; ++k) {
           const double v = values[k];
           const double* HPAMG_RESTRICT xr =
-              xp + std::size_t(colidx[k]) * m + j0;
+              xp + std::size_t(colidx[k]) * mm + j0;
           for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
         }
         if (!zero_init) {
-          // Local-upper: previous-sweep values, still in x.
+          // Local-upper: previous-sweep values, still in x (Gauss-Seidel).
           for (Int k = ptr1_[i]; k < ptr2_[i]; ++k) {
             const double v = values[k];
             const double* HPAMG_RESTRICT xr =
-                xp + std::size_t(colidx[k]) * m + j0;
+                xp + std::size_t(colidx[k]) * mm + j0;
             for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
           }
           // External: other partitions' rows — read the pre-sweep copy.
           for (Int k = ptr2_[i]; k < A_.rowptr[i + 1]; ++k) {
             const double v = values[k];
             const double* HPAMG_RESTRICT tr =
-                tp + std::size_t(colidx[k]) * m + j0;
+                tp + std::size_t(colidx[k]) * mm + j0;
             for (Int j = 0; j < bw; ++j) acc[j] -= v * tr[j];
           }
           local.flops += 2 * std::uint64_t(A_.rowptr[i + 1] - A_.rowptr[i]) *
                          std::uint64_t(bw);
         } else {
+          // Upper triangle and external entries multiply known zeros
+          // (§3.2): skip them entirely. Only the forward sweep preserves
+          // this invariant; callers assert forward when zero_init.
           local.flops += 2 * std::uint64_t(ptr1_[i] - A_.rowptr[i]) *
                          std::uint64_t(bw);
         }
         const double inv = inv_diag_[i];
-        double* HPAMG_RESTRICT xr = xp + std::size_t(i) * m + j0;
+        double* HPAMG_RESTRICT xr = xp + std::size_t(i) * mm + j0;
         for (Int j = 0; j < bw; ++j) xr[j] = acc[j] * inv;
         local.bytes_read += std::uint64_t(A_.rowptr[i + 1] - A_.rowptr[i]) *
                             (sizeof(Int) + sizeof(double) +
@@ -311,7 +254,55 @@ void HybridGSOptimized::sweep_multi(const MultiVector& B, MultiVector& X,
     for (const WorkCounters& c : counters) *wc += c;
 }
 
+template void HybridGSOptimized::sweep_block<0>(const double*, double*,
+                                                double*, Int, Int, Int, bool,
+                                                bool, WorkCounters*) const;
+template void HybridGSOptimized::sweep_block<1>(const double*, double*,
+                                                double*, Int, Int, Int, bool,
+                                                bool, WorkCounters*) const;
+
+void HybridGSOptimized::sweep(const Vector& b, Vector& x, Vector& temp,
+                              Int row_lo, Int row_hi, bool forward,
+                              bool zero_init, WorkCounters* wc) const {
+  if (Int(temp.size()) < A_.nrows) temp.resize(A_.nrows);
+  sweep_block<1>(b.data(), x.data(), temp.data(), 1, row_lo, row_hi, forward,
+                 zero_init, wc);
+}
+
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Gauss-Seidel over groups of mutually uncoupled rows (wavefront levels,
+/// colors): groups in order (reversed when !forward), the rows of one
+/// group in parallel, each reading every other row's current value.
+// lint: counted-no-span(shared body; LexGS and MultiColorGS open the span)
+void sweep_row_groups(const CSRMatrix& A, const std::vector<Int>& group_ptr,
+                      const std::vector<Int>& group_rows,
+                      const std::vector<double>& inv_diag, const Vector& b,
+                      Vector& x, bool forward, WorkCounters* wc) {
+  const Int ng = Int(group_ptr.size()) - 1;
+  for (Int gw = 0; gw < ng; ++gw) {
+    const Int g = forward ? gw : ng - 1 - gw;
+    parallel_for(group_ptr[g], group_ptr[g + 1], [&](Int p) {
+      const Int i = group_rows[p];
+      double acc = b[i];
+      for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
+        const Int j = A.colidx[k];
+        if (j != i) acc -= A.values[k] * x[j];
+      }
+      x[i] = acc * inv_diag[i];
+    });
+  }
+  if (wc) {
+    wc->flops += 2 * std::uint64_t(A.nnz());
+    wc->bytes_read +=
+        std::uint64_t(A.nnz()) * (sizeof(Int) + 2 * sizeof(double));
+    wc->bytes_written += std::uint64_t(A.nrows) * sizeof(double);
+  }
+}
+
+}  // namespace
 
 LexGS::LexGS(const CSRMatrix& A) {
   const Int n = A.nrows;
@@ -369,25 +360,7 @@ void LexGS::sweep_fused_residual(const CSRMatrix& A, Vector& x, Vector& r,
 void LexGS::sweep(const CSRMatrix& A, const Vector& b, Vector& x,
                   bool forward, WorkCounters* wc) const {
   TRACE_SPAN("smoother.lexgs", "kernel", "rows", std::int64_t(A.nrows));
-  const Int nlv = num_levels();
-  for (Int lw = 0; lw < nlv; ++lw) {
-    const Int l = forward ? lw : nlv - 1 - lw;
-    const Int lo = level_ptr_[l], hi = level_ptr_[l + 1];
-    parallel_for(lo, hi, [&](Int p) {
-      const Int i = level_rows_[p];
-      double acc = b[i];
-      for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
-        const Int j = A.colidx[k];
-        if (j != i) acc -= A.values[k] * x[j];
-      }
-      x[i] = acc * inv_diag_[i];
-    });
-  }
-  if (wc) {
-    wc->flops += 2 * std::uint64_t(A.nnz());
-    wc->bytes_read += std::uint64_t(A.nnz()) * (sizeof(Int) + 2 * sizeof(double));
-    wc->bytes_written += std::uint64_t(A.nrows) * sizeof(double);
-  }
+  sweep_row_groups(A, level_ptr_, level_rows_, inv_diag_, b, x, forward, wc);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,30 +400,11 @@ void MultiColorGS::sweep(const CSRMatrix& A, const Vector& b, Vector& x,
                          bool forward, WorkCounters* wc) const {
   TRACE_SPAN("smoother.multicolor_gs", "kernel", "rows",
              std::int64_t(A.nrows));
-  const Int nc = num_colors();
-  for (Int cc = 0; cc < nc; ++cc) {
-    const Int c = forward ? cc : nc - 1 - cc;
-    const Int lo = color_ptr_[c], hi = color_ptr_[c + 1];
-    // Rows of one color have no mutual coupling: safe to update in
-    // parallel while reading every other color's current values.
-    parallel_for(lo, hi, [&](Int p) {
-      const Int i = color_rows_[p];
-      double acc = b[i];
-      for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
-        const Int j = A.colidx[k];
-        if (j != i) acc -= A.values[k] * x[j];
-      }
-      x[i] = acc * inv_diag_[i];
-    });
-  }
-  if (wc) {
-    wc->flops += 2 * std::uint64_t(A.nnz());
-    // Each color pass re-streams the index structure: the memory-traffic
-    // cost behind AmgX's slower MULTICOLOR_GS iterations.
-    wc->bytes_read += std::uint64_t(A.nnz()) *
-                      (sizeof(Int) + 2 * sizeof(double));
-    wc->bytes_written += std::uint64_t(A.nrows) * sizeof(double);
-  }
+  // Rows of one color have no mutual coupling: safe to update in parallel
+  // while reading every other color's current values. Each color pass
+  // re-streams the index structure: the memory-traffic cost behind AmgX's
+  // slower MULTICOLOR_GS iterations.
+  sweep_row_groups(A, color_ptr_, color_rows_, inv_diag_, b, x, forward, wc);
 }
 
 }  // namespace hpamg

@@ -27,13 +27,14 @@ void jacobi_sweep(const CSRMatrix& A, const Vector& b, Vector& x,
                   Vector& temp, double weight = 2.0 / 3.0, Int row_lo = 0,
                   Int row_hi = -1, WorkCounters* wc = nullptr);
 
-/// Batched weighted Jacobi: one sweep applied to every column of X. The
-/// matrix row streams once per column block; per column the arithmetic
-/// order matches jacobi_sweep exactly (bitwise-equal results).
-void jacobi_sweep_multi(const CSRMatrix& A, const MultiVector& B,
-                        MultiVector& X, MultiVector& Temp,
-                        double weight = 2.0 / 3.0, Int row_lo = 0,
-                        Int row_hi = -1, WorkCounters* wc = nullptr);
+namespace block {
+/// The one weighted-Jacobi implementation, on n x m row-major blocks (M as
+/// in with_width, matrix/vector_ops.hpp). temp holds n * m values.
+template <int M>
+void jacobi_sweep(const CSRMatrix& A, const double* b, double* x, double* temp,
+                  Int m, double weight, Int row_lo, Int row_hi,
+                  WorkCounters* wc);
+}  // namespace block
 
 // ---------------------------------------------------------------------------
 // Baseline hybrid GS (Fig 2a): per-column ownership branch, per-column
@@ -83,13 +84,14 @@ class HybridGSOptimized {
              bool forward = true, bool zero_init = false,
              WorkCounters* wc = nullptr) const;
 
-  /// Batched sweep: one hybrid-GS sweep applied to every column of X.
-  /// Column j of the result is bitwise-equal to sweep() on column j alone —
-  /// the partition/row/column-segment order is identical, only the matrix
-  /// entries are reused across the columns of a block.
-  void sweep_multi(const MultiVector& B, MultiVector& X, MultiVector& Temp,
-                   Int row_lo, Int row_hi, bool forward = true,
-                   bool zero_init = false, WorkCounters* wc = nullptr) const;
+  /// The one sweep implementation, on n x m row-major blocks (M as in
+  /// with_width). Columns are independent (row i of column j only reads
+  /// column j), so each column sees the scalar update order exactly; only
+  /// the matrix entries are reused across the columns of a block.
+  template <int M>
+  void sweep_block(const double* b, double* x, double* temp, Int m,
+                   Int row_lo, Int row_hi, bool forward, bool zero_init,
+                   WorkCounters* wc) const;
 
   const std::vector<Int>& thread_bounds() const { return bounds_; }
   std::uint64_t footprint_bytes() const {

@@ -28,86 +28,86 @@ const CSRMatrix& validated(const CSRMatrix& A) {
   return A;
 }
 
-/// Detaches the telemetry hook from the hierarchy on every exit path (the
-/// hook lives on the solve's stack frame).
-struct TelemetryLoan {
-  Hierarchy& h;
-  explicit TelemetryLoan(Hierarchy& hier, CycleTelemetryHook* hook)
-      : h(hier) {
-    h.telemetry = hook;
-  }
-  ~TelemetryLoan() { h.telemetry = nullptr; }
-  TelemetryLoan(const TelemetryLoan&) = delete;
-  TelemetryLoan& operator=(const TelemetryLoan&) = delete;
-};
-
-}  // namespace
-
-AMGSolver::AMGSolver(const CSRMatrix& A, const AMGOptions& opts)
-    : h_(build_hierarchy(validated(A), opts)) {}
-
-SolveResult AMGSolver::solve(const Vector& b, Vector& x, double rtol,
-                             Int max_iterations, const Deadline& deadline) {
-  TRACE_SPAN("amg.solve", "phase");
+/// The one standalone-AMG loop, on n x m row-major blocks (M as in
+/// with_width): solve() is its m = 1 instance. Fills `res` with the worst
+/// column's history/status, and the per-column relres and first converged
+/// cycle.
+template <int M>
+void solve_loop(Hierarchy& h, const double* b, double* x, Int m, double rtol,
+                Int max_iterations, const Deadline& deadline, SolveResult& res,
+                std::vector<double>& relres, std::vector<Int>& col_iterations) {
+  TRACE_SPAN(M == 1 ? "amg.solve" : "amg.solve_multi", "phase", "rhs",
+             std::int64_t(m));
   live::ActivityScope live_scope;
-  SolveResult res;
-  Level& L0 = h_.levels[0];
-  require(Int(b.size()) == L0.n && Int(x.size()) == L0.n,
-          "AMGSolver::solve: vector size mismatch");
+  Level& L0 = h.levels[0];
   // Solver-entry invariants: the hierarchy may have been mutated since
   // setup (refresh_values, external tampering in tests); a check build
   // re-audits it before trusting the level operators.
   HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
                         check::csr_well_formed(L0.A, "AMGSolver::solve A0"));
-  HPAMG_CHECK_INVARIANT(check::Depth::kFull, check_hierarchy(h_));
-  const bool optimized = h_.opts.variant == Variant::kOptimized;
+  HPAMG_CHECK_INVARIANT(check::Depth::kFull, check_hierarchy(h));
+  const Int n = L0.n, mm = M ? M : m;
+  const std::size_t len = std::size_t(n) * std::size_t(mm);
+  const bool optimized = h.opts.variant == Variant::kOptimized;
   const bool permuted = optimized && !L0.perm.perm.empty();
   PhaseTimes& pt = res.solve_times;
   WorkCounters* wc = &res.solve_work;
 
   // Keep working vectors permuted across the whole solve; gather once.
-  Vector bw(L0.n), xw(L0.n), r(L0.n);
+  Vector bw(len), xw(len), r(len);
   {
     Timer t;
     if (permuted) {
-      const std::vector<Int>& perm = L0.perm.perm;
-      parallel_for(0, L0.n, [&](Int i) {
-        bw[i] = b[perm[i]];
-        xw[i] = x[perm[i]];
-      });
+      block::gather_rows<M>(L0.perm.perm, b, bw.data(), m);
+      block::gather_rows<M>(L0.perm.perm, x, xw.data(), m);
     } else {
-      copy(b, bw);
-      copy(x, xw);
+      copy_n(b, bw.data(), len);
+      copy_n(x, xw.data(), len);
     }
     pt.add("Solve_etc", t.seconds());
   }
 
-  Timer t_blas;
-  double normb = norm2(bw, wc);
-  pt.add("BLAS1", t_blas.seconds());
-  if (normb == 0.0) normb = 1.0;
-
-  double relres = 0.0;
+  std::vector<double> normb(std::size_t(mm), 0.0), norms(std::size_t(mm), 0.0);
   {
-    // Initial residual (x may be a nonzero initial guess).
+    Timer t;
+    block::dot<M>(bw.data(), bw.data(), n, m, normb.data(), wc);
+    pt.add("BLAS1", t.seconds());
+  }
+  for (double& nb : normb) nb = nb > 0.0 ? std::sqrt(nb) : 1.0;
+
+  relres.assign(std::size_t(mm), 0.0);
+  col_iterations.assign(std::size_t(mm), -1);
+  // Residual of every column; returns the worst relative residual.
+  auto residual = [&](Int it) {
     Timer t;
     if (optimized) {
-      relres = std::sqrt(spmv_residual_norm2sq_fused(L0.A, xw, bw, r, wc)) /
-               normb;
+      // Fused residual + norm (§3.3): one pass instead of SpMV then dot.
+      block::spmv_residual_norms<M>(L0.A, xw.data(), bw.data(), r.data(), m,
+                                    norms.data(), wc);
       pt.add("SpMV", t.seconds());
     } else {
-      spmv_residual(L0.A, xw, bw, r, wc);
+      block::spmv_residual<M>(L0.A, xw.data(), bw.data(), r.data(), m, wc);
       pt.add("SpMV", t.seconds());
       Timer t2;
-      relres = norm2(r, wc) / normb;
+      block::dot<M>(r.data(), r.data(), n, m, norms.data(), wc);
       pt.add("BLAS1", t2.seconds());
     }
-  }
-  if (relres < rtol) {
+    for (Int j = 0; j < mm; ++j) {
+      relres[std::size_t(j)] =
+          std::sqrt(norms[std::size_t(j)]) / normb[std::size_t(j)];
+      if (relres[std::size_t(j)] < rtol && col_iterations[std::size_t(j)] < 0)
+        col_iterations[std::size_t(j)] = it;
+    }
+    return worst_column(relres);
+  };
+
+  // Initial residual (x may be a nonzero initial guess).
+  double worst = residual(0);
+  if (worst < rtol) {
     res.converged = true;
     res.status = Status::kOk;
-    res.final_relres = relres;
-    return res;
+    res.final_relres = worst;
+    return;
   }
 
   // Last good iterate for scrub-and-restart recovery: refreshed on every
@@ -115,17 +115,20 @@ SolveResult AMGSolver::solve(const Vector& b, Vector& x, double rtol,
   // counted as solve work). `x_best_relres` mirrors the snapshot.
   ConvergenceMonitor monitor;
   Vector x_best(xw);
-  double x_best_relres = relres;
+  double x_best_relres = worst;
   Int x_best_iteration = 0;
 
   // Per-iteration telemetry rides along only when the metrics registry is
   // on (--json bench runs); the hook is loaned to the hierarchy so the
-  // cycle can deposit per-level times without a signature change.
+  // cycle can deposit per-level times without a signature change. With
+  // m > 1 the pre-smooth residual is the worst column over the smallest
+  // ||b_j||, an upper bound.
   const bool telemetry_on = metrics::enabled();
   CycleTelemetryHook tel;
   tel.measure_smoother = telemetry_on;
-  TelemetryLoan loan(h_, telemetry_on ? &tel : nullptr);
-  double prev_relres = relres;
+  TelemetryLoan loan(h, telemetry_on ? &tel : nullptr);
+  const double tel_normb = *std::min_element(normb.begin(), normb.end());
+  double prev_relres = worst;
   Timer t_iter;
 
   for (Int it = 1; it <= max_iterations; ++it) {
@@ -136,49 +139,37 @@ SolveResult AMGSolver::solve(const Vector& b, Vector& x, double rtol,
       res.status = Status::kDeadlineExceeded;
       res.events.push_back(
           "deadline expired before iteration " + std::to_string(it) +
-          " (partial result: relres " + std::to_string(relres) + " after " +
+          " (partial result: relres " + std::to_string(worst) + " after " +
           std::to_string(res.iterations) + " iterations)");
       break;
     }
     if (fault::enabled())
       fault::maybe_poison("amg.solve.poison", xw.data(), xw.size());
     if (telemetry_on) {
-      tel.begin_cycle(h_.levels.size());
+      tel.begin_cycle(h.levels.size());
       t_iter.reset();
     }
-    vcycle_workspace(h_, bw, xw, &pt, wc);
-    Timer t;
-    if (optimized) {
-      // Fused residual + norm (§3.3): one pass instead of SpMV then dot.
-      relres = std::sqrt(spmv_residual_norm2sq_fused(L0.A, xw, bw, r, wc)) /
-               normb;
-      pt.add("SpMV", t.seconds());
-    } else {
-      spmv_residual(L0.A, xw, bw, r, wc);
-      pt.add("SpMV", t.seconds());
-      Timer t2;
-      relres = norm2(r, wc) / normb;
-      pt.add("BLAS1", t2.seconds());
-    }
-    res.history.push_back(relres);
+    vcycle_block<M>(h, bw.data(), xw.data(), m, /*work_order=*/true, &pt, wc);
+    worst = residual(it);
+    res.history.push_back(worst);
     res.iterations = it;
-    live::beat_iteration(it, relres);
+    live::beat_iteration(it, worst);
     if (telemetry_on) {
       res.telemetry.push_back(make_iteration_entry(
-          it, relres, prev_relres, t_iter.seconds(), normb, &tel));
+          it, worst, prev_relres, t_iter.seconds(), tel_normb, &tel));
     }
-    prev_relres = relres;
-    HPAMG_LOG_DEBUG("amg it %d relres %.3e", int(it), relres);
-    if (relres < rtol) {
+    prev_relres = worst;
+    HPAMG_LOG_DEBUG("amg it %d relres %.3e", int(it), worst);
+    if (worst < rtol) {
       res.converged = true;
       res.status = res.recoveries > 0 ? Status::kRecovered : Status::kOk;
       break;
     }
-    const Status verdict = monitor.observe(it, relres);
+    const Status verdict = monitor.observe(it, worst);
     if (verdict == Status::kOk) {
-      if (relres < x_best_relres) {
-        copy(xw, x_best);
-        x_best_relres = relres;
+      if (worst < x_best_relres) {
+        copy_n(xw.data(), x_best.data(), len);
+        x_best_relres = worst;
         x_best_iteration = it;
       }
       continue;
@@ -189,10 +180,10 @@ SolveResult AMGSolver::solve(const Vector& b, Vector& x, double rtol,
     // surfaces as the terminal status.
     if (verdict == Status::kNonFinite && res.nonfinite_iteration < 0)
       res.nonfinite_iteration = it;
-    if (res.recoveries < kMaxRecoveries) {
+    if (res.recoveries < AMGSolver::kMaxRecoveries) {
       ++res.recoveries;
-      copy(x_best, xw);
-      relres = x_best_relres;
+      copy_n(x_best.data(), xw.data(), len);
+      worst = x_best_relres;
       monitor.note_recovery();
       std::string ev = "recovered at iteration " + std::to_string(it) + " (" +
                        status_name(verdict) + "): restored iterate from " +
@@ -211,148 +202,54 @@ SolveResult AMGSolver::solve(const Vector& b, Vector& x, double rtol,
   if (!res.converged && res.status == Status::kMaxIterations &&
       monitor.stagnated())
     res.status = Status::kStagnated;
-  res.final_relres = relres;
+  res.final_relres = worst;
 
   Timer t;
-  if (permuted) {
-    const std::vector<Int>& perm = L0.perm.perm;
-    parallel_for(0, L0.n, [&](Int i) { x[perm[i]] = xw[i]; });
-  } else {
-    copy(xw, x);
-  }
+  if (permuted)
+    block::scatter_rows<M>(L0.perm.perm, xw.data(), x, m);
+  else
+    copy_n(xw.data(), x, len);
   pt.add("Solve_etc", t.seconds());
+}
+
+}  // namespace
+
+AMGSolver::AMGSolver(const CSRMatrix& A, const AMGOptions& opts)
+    : h_(build_hierarchy(validated(A), opts)) {}
+
+SolveResult AMGSolver::solve(const Vector& b, Vector& x, double rtol,
+                             Int max_iterations, const Deadline& deadline) {
+  require(Int(b.size()) == h_.levels[0].n && Int(x.size()) == h_.levels[0].n,
+          "AMGSolver::solve: vector size mismatch");
+  SolveResult res;
+  std::vector<double> relres;
+  std::vector<Int> col_iterations;
+  solve_loop<1>(h_, b.data(), x.data(), 1, rtol, max_iterations, deadline, res,
+                relres, col_iterations);
   return res;
 }
 
 MultiSolveResult AMGSolver::solve_multi(const MultiVector& B, MultiVector& X,
                                         double rtol, Int max_iterations,
                                         const Deadline& deadline) {
-  TRACE_SPAN("amg.solve_multi", "phase");
-  live::ActivityScope live_scope;
-  MultiSolveResult res;
-  Level& L0 = h_.levels[0];
-  const Int m = B.m;
-  require(B.n == L0.n && X.n == L0.n && X.m == m,
+  const Int n = h_.levels[0].n;
+  require(B.n == n && X.n == n && X.m == B.m,
           "AMGSolver::solve_multi: shape mismatch");
-  require(m > 0, "AMGSolver::solve_multi: no right-hand sides");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::csr_well_formed(L0.A, "AMGSolver::solve_multi A0"));
-  HPAMG_CHECK_INVARIANT(check::Depth::kFull, check_hierarchy(h_));
-  const bool optimized = h_.opts.variant == Variant::kOptimized;
-  const bool permuted = optimized && !L0.perm.perm.empty();
-  PhaseTimes& pt = res.solve_times;
-  WorkCounters* wc = &res.solve_work;
-  ensure_multi_workspace(h_, m);
-
-  // Keep working multivectors permuted across the whole solve, exactly as
-  // the scalar solve does with its bw/xw pair.
-  MultiVector BW(L0.n, m), XW(L0.n, m), R(L0.n, m);
-  {
-    Timer t;
-    if (permuted) {
-      const std::vector<Int>& perm = L0.perm.perm;
-      parallel_for(0, L0.n, [&](Int i) {
-        const std::size_t src = std::size_t(perm[i]) * m;
-        const std::size_t dst = std::size_t(i) * m;
-        for (Int j = 0; j < m; ++j) {
-          BW.data[dst + j] = B.data[src + j];
-          XW.data[dst + j] = X.data[src + j];
-        }
-      });
-    } else {
-      copy(B, BW);
-      copy(X, XW);
-    }
-    pt.add("Solve_etc", t.seconds());
-  }
-
-  Timer t_blas;
-  std::vector<double> normb = norm2sq_columns(BW, wc);
-  pt.add("BLAS1", t_blas.seconds());
-  for (double& nb : normb) nb = nb > 0.0 ? std::sqrt(nb) : 1.0;
-
-  std::vector<double> norms2sq;
-  std::vector<double> relres(std::size_t(m), 0.0);
-  res.col_iterations.assign(std::size_t(m), -1);
-  auto update_relres = [&](Int it) {
-    bool all_done = true;
-    bool finite = true;
-    for (Int j = 0; j < m; ++j) {
-      relres[std::size_t(j)] =
-          std::sqrt(norms2sq[std::size_t(j)]) / normb[std::size_t(j)];
-      if (!std::isfinite(relres[std::size_t(j)])) finite = false;
-      if (relres[std::size_t(j)] < rtol) {
-        if (res.col_iterations[std::size_t(j)] < 0)
-          res.col_iterations[std::size_t(j)] = it;
-      } else {
-        all_done = false;
-      }
-    }
-    if (!finite && res.nonfinite_iteration < 0) res.nonfinite_iteration = it;
-    return finite ? (all_done ? Status::kOk : Status::kMaxIterations)
-                  : Status::kNonFinite;
-  };
-
-  {
-    Timer t;
-    spmv_residual_norms2sq_fused_multi(L0.A, XW, BW, R, norms2sq, wc);
-    pt.add("SpMV", t.seconds());
-  }
-  Status st = update_relres(0);
-  if (st == Status::kOk) {
-    res.converged = true;
-    res.status = Status::kOk;
-    res.final_relres = relres;
-    return res;
-  }
-
-  for (Int it = 1; it <= max_iterations && st != Status::kNonFinite; ++it) {
-    // Same per-V-cycle deadline contract as the scalar solve: stop with
-    // whatever the columns have converged to so far.
-    if (deadline.expired()) {
-      res.status = Status::kDeadlineExceeded;
-      res.events.push_back("deadline expired before iteration " +
-                           std::to_string(it) + " (partial result after " +
-                           std::to_string(res.iterations) + " iterations)");
-      res.final_relres = relres;
-      break;
-    }
-    vcycle_workspace_multi(h_, BW, XW, &pt, wc);
-    Timer t;
-    spmv_residual_norms2sq_fused_multi(L0.A, XW, BW, R, norms2sq, wc);
-    pt.add("SpMV", t.seconds());
-    res.iterations = it;
-    st = update_relres(it);
-    if (live::enabled()) {
-      // Heartbeat carries the worst column's residual — the one that
-      // decides when this multi-RHS solve finishes.
-      double worst = 0.0;
-      for (double rr : relres)
-        if (rr > worst) worst = rr;
-      live::beat_iteration(it, worst);
-    }
-    if (st == Status::kOk) {
-      res.converged = true;
-      res.status = Status::kOk;
-      break;
-    }
-  }
-  if (st == Status::kNonFinite) res.status = Status::kNonFinite;
-  res.final_relres = relres;
-
-  Timer t;
-  if (permuted) {
-    const std::vector<Int>& perm = L0.perm.perm;
-    parallel_for(0, L0.n, [&](Int i) {
-      const std::size_t src = std::size_t(i) * m;
-      const std::size_t dst = std::size_t(perm[i]) * m;
-      for (Int j = 0; j < m; ++j) X.data[dst + j] = XW.data[src + j];
-    });
-  } else {
-    copy(XW, X);
-  }
-  pt.add("Solve_etc", t.seconds());
+  require(B.m > 0, "AMGSolver::solve_multi: no right-hand sides");
+  SolveResult sr;
+  MultiSolveResult res;
+  with_width(B.m, [&]<int M>() {
+    solve_loop<M>(h_, B.data.data(), X.data.data(), B.m, rtol, max_iterations,
+                  deadline, sr, res.final_relres, res.col_iterations);
+  });
+  res.iterations = sr.iterations;
+  res.converged = sr.converged;
+  res.status = sr.status;
+  res.nonfinite_iteration = sr.nonfinite_iteration;
+  res.recoveries = sr.recoveries;
+  res.events = std::move(sr.events);
+  res.solve_times = std::move(sr.solve_times);
+  res.solve_work = sr.solve_work;
   return res;
 }
 
@@ -459,28 +356,7 @@ void AMGSolver::refresh_values(const CSRMatrix& A_new) {
                   : rap_fused_hypre(transpose_serial(L.P), L.A, L.P);
     A_next.sort_rows();
     // Smoother plans depend on the values (inverse diagonals).
-    L.gs_base.reset();
-    L.gs_opt.reset();
-    L.lexgs.reset();
-    L.mcgs.reset();
-    switch (h_.opts.smoother) {
-      case SmootherKind::kHybridGS:
-        if (optimized)
-          L.gs_opt =
-              std::make_unique<HybridGSOptimized>(L.A, h_.opts.gs_partitions);
-        else
-          L.gs_base =
-              std::make_unique<HybridGSBaseline>(L.A, h_.opts.gs_partitions);
-        break;
-      case SmootherKind::kLexGS:
-        L.lexgs = std::make_unique<LexGS>(L.A);
-        break;
-      case SmootherKind::kMultiColorGS:
-        L.mcgs = std::make_unique<MultiColorGS>(L.A);
-        break;
-      case SmootherKind::kJacobi:
-        break;
-    }
+    build_smoother_plans(L, h_.opts);
     A_work = std::move(A_next);
   }
   Level& C = h_.levels.back();
@@ -488,22 +364,7 @@ void AMGSolver::refresh_values(const CSRMatrix& A_new) {
   if (h_.coarse_lu.size() == C.n && C.n > 0) {
     h_.coarse_lu = LUSolver(C.A);
   } else if (C.gs_opt || C.gs_base || C.lexgs || C.mcgs) {
-    C.gs_opt.reset();
-    C.gs_base.reset();
-    C.lexgs.reset();
-    C.mcgs.reset();
-    if (h_.opts.smoother == SmootherKind::kHybridGS) {
-      if (optimized)
-        C.gs_opt =
-            std::make_unique<HybridGSOptimized>(C.A, h_.opts.gs_partitions);
-      else
-        C.gs_base =
-            std::make_unique<HybridGSBaseline>(C.A, h_.opts.gs_partitions);
-    } else if (h_.opts.smoother == SmootherKind::kLexGS) {
-      C.lexgs = std::make_unique<LexGS>(C.A);
-    } else if (h_.opts.smoother == SmootherKind::kMultiColorGS) {
-      C.mcgs = std::make_unique<MultiColorGS>(C.A);
-    }
+    build_smoother_plans(C, h_.opts);
   }
 }
 

@@ -58,12 +58,14 @@ struct MultiSolveResult {
   Status status = Status::kMaxIterations;
   /// First iteration with a NaN/Inf residual in any column; -1 if none.
   Int nonfinite_iteration = -1;
+  /// Scrub-and-restart recoveries (judged on the worst column).
+  Int recoveries = 0;
   std::vector<double> final_relres;  ///< per column
   /// Per column: first cycle at which that column's relres crossed rtol
   /// (0 = already converged on entry; -1 = never converged).
   std::vector<Int> col_iterations;
-  /// Incident log (deadline expiry with partial-result note), mirroring
-  /// SolveResult::events.
+  /// Incident log (recoveries, deadline expiry with partial-result note),
+  /// mirroring SolveResult::events.
   std::vector<std::string> events;
   PhaseTimes solve_times;
   WorkCounters solve_work;
@@ -98,8 +100,9 @@ class AMGSolver {
   /// Batched standalone AMG: V-cycles on all columns of B simultaneously
   /// until every column satisfies ||b_j - A x_j|| / ||b_j|| < rtol. One
   /// pass over the hierarchy per cycle serves all m columns (the multi-RHS
-  /// amortization this solver exists for). No scrub-and-restart recovery:
-  /// a non-finite residual in any column aborts with kNonFinite.
+  /// amortization this solver exists for). The same loop as solve(), whose
+  /// m = 1 instance that is: recovery, deadline, telemetry and status all
+  /// follow the worst column.
   [[nodiscard]] MultiSolveResult solve_multi(
       const MultiVector& B, MultiVector& X, double rtol = 1e-7,
       Int max_iterations = 500, const Deadline& deadline = Deadline::never());

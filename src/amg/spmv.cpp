@@ -9,20 +9,12 @@
 namespace hpamg {
 
 namespace {
-// lint: counted-no-span(accounting helper; spmv entry points own spans)
-void count_spmv(WorkCounters* wc, const CSRMatrix& A) {
-  if (!wc) return;
-  wc->flops += 2 * std::uint64_t(A.nnz());
-  wc->bytes_read += std::uint64_t(A.nnz()) * (sizeof(Int) + 2 * sizeof(double)) +
-                    std::uint64_t(A.nrows) * sizeof(Int);
-  wc->bytes_written += std::uint64_t(A.nrows) * sizeof(double);
-}
 
-/// Batched-kernel accounting: the matrix structure streams once per
-/// column block (the whole point of the batching); vector traffic and
-/// flops scale with the full column count.
-// lint: counted-no-span(accounting helper; multi-RHS entries own spans)
-void count_spmv_multi(WorkCounters* wc, const CSRMatrix& A, Int m) {
+/// Kernel accounting: the matrix structure streams once per column block
+/// (the whole point of the batching); vector traffic and flops scale with
+/// the full column count. For m = 1 this is one pass over A.
+// lint: counted-no-span(accounting helper; kernel entry points own spans)
+void count_spmv(WorkCounters* wc, const CSRMatrix& A, Int m = 1) {
   if (!wc) return;
   const std::uint64_t blocks = std::uint64_t((m + kMaxRhsBlock - 1) /
                                              kMaxRhsBlock);
@@ -34,27 +26,215 @@ void count_spmv_multi(WorkCounters* wc, const CSRMatrix& A, Int m) {
   wc->bytes_written +=
       std::uint64_t(A.nrows) * std::uint64_t(m) * sizeof(double);
 }
+
 }  // namespace
 
-void spmv(const CSRMatrix& A, const Vector& x, Vector& y, WorkCounters* wc) {
-  TRACE_SPAN("spmv", "kernel", "rows", std::int64_t(A.nrows));
-  require(Int(x.size()) >= A.ncols && Int(y.size()) >= A.nrows,
-          "spmv: vector too small");
+namespace block {
+
+// Every body walks the columns in blocks of W; per column the k-loop order
+// is the same in every instance, so the results are bitwise-equal to the
+// single-column call. The accumulators live on the stack.
+
+template <int M>
+void spmv(const CSRMatrix& A, const double* x, double* y, Int m,
+          WorkCounters* wc) {
+  TRACE_SPAN("spmv", "kernel", "rows", std::int64_t(A.nrows), "cols",
+             std::int64_t(m));
   HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
-                        check::distinct_buffers(y.data(), x.data(), "spmv"));
+                        check::distinct_buffers(y, x, "spmv"));
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
   const Int* HPAMG_RESTRICT rowptr = A.rowptr.data();
   const Int* HPAMG_RESTRICT colidx = A.colidx.data();
   const double* HPAMG_RESTRICT values = A.values.data();
-  const double* HPAMG_RESTRICT xp = x.data();
-  double* HPAMG_RESTRICT yp = y.data();
+  const double* HPAMG_RESTRICT xp = x;
+  double* HPAMG_RESTRICT yp = y;
+  for (Int j0 = 0; j0 < mm; j0 += W) {
+    const Int bw = M ? M : std::min(W, mm - j0);
 #pragma omp parallel for schedule(static)
-  for (Int i = 0; i < A.nrows; ++i) {
-    double acc = 0.0;
-    for (Int k = rowptr[i]; k < rowptr[i + 1]; ++k)
-      acc += values[k] * xp[colidx[k]];
-    yp[i] = acc;
+    for (Int i = 0; i < A.nrows; ++i) {
+      double acc[W];
+      for (Int j = 0; j < bw; ++j) acc[j] = 0.0;
+      for (Int k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+        const double v = values[k];
+        const double* HPAMG_RESTRICT xr =
+            xp + std::size_t(colidx[k]) * mm + j0;
+        for (Int j = 0; j < bw; ++j) acc[j] += v * xr[j];
+      }
+      double* HPAMG_RESTRICT yr = yp + std::size_t(i) * mm + j0;
+      for (Int j = 0; j < bw; ++j) yr[j] = acc[j];
+    }
   }
-  count_spmv(wc, A);
+  count_spmv(wc, A, mm);
+}
+
+/// Shared body of the residual kernels: r = b - A x, and with `norms2sq`
+/// also the per-column <r, r> in the same pass (§3.3 fusion: r is never
+/// re-read from memory). r aliasing b is fine (b[i] is read before r[i] is
+/// written); r aliasing x is not, because x is read at arbitrary columns.
+template <int M>
+void residual(const CSRMatrix& A, const double* x, const double* b, double* r,
+              Int m, double* norms2sq) {
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
+  const Int* HPAMG_RESTRICT rowptr = A.rowptr.data();
+  const Int* HPAMG_RESTRICT colidx = A.colidx.data();
+  const double* HPAMG_RESTRICT values = A.values.data();
+  const double* HPAMG_RESTRICT xp = x;
+  const int nt = num_threads();
+  // One partial per thread and column, allocated outside the region and
+  // added in thread-index order below.
+  std::vector<double> partial(norms2sq ? std::size_t(nt) * mm : 0, 0.0);
+  for (Int j0 = 0; j0 < mm; j0 += W) {
+    const Int bw = M ? M : std::min(W, mm - j0);
+    // lint: no-span(shared body; both residual entry points open the span)
+#pragma omp parallel num_threads(nt)
+    {
+      double local[W];
+      for (Int j = 0; j < bw; ++j) local[j] = 0.0;
+#pragma omp for schedule(static) nowait
+      for (Int i = 0; i < A.nrows; ++i) {
+        double acc[W];
+        const double* br = b + std::size_t(i) * mm + j0;
+        for (Int j = 0; j < bw; ++j) acc[j] = br[j];
+        for (Int k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+          const double v = values[k];
+          const double* HPAMG_RESTRICT xr =
+              xp + std::size_t(colidx[k]) * mm + j0;
+          for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
+        }
+        double* rr = r + std::size_t(i) * mm + j0;
+        for (Int j = 0; j < bw; ++j) rr[j] = acc[j];
+        if (norms2sq)
+          for (Int j = 0; j < bw; ++j) local[j] += acc[j] * acc[j];
+      }
+      if (norms2sq) {
+        double* mine = partial.data() +
+                       std::size_t(omp_get_thread_num()) * mm + j0;
+        for (Int j = 0; j < bw; ++j) mine[j] = local[j];
+      }
+    }
+  }
+  if (!norms2sq) return;
+  for (Int j = 0; j < mm; ++j) norms2sq[j] = 0.0;
+  for (int t = 0; t < nt; ++t)
+    for (Int j = 0; j < mm; ++j)
+      norms2sq[j] += partial[std::size_t(t) * mm + j];
+}
+
+template <int M>
+void spmv_residual(const CSRMatrix& A, const double* x, const double* b,
+                   double* r, Int m, WorkCounters* wc) {
+  TRACE_SPAN("spmv.residual", "kernel", "rows", std::int64_t(A.nrows),
+             "cols", std::int64_t(m));
+  HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
+                        check::distinct_buffers(r, x, "spmv_residual"));
+  residual<M>(A, x, b, r, m, nullptr);
+  count_spmv(wc, A, M ? M : m);
+}
+
+template <int M>
+void spmv_residual_norms(const CSRMatrix& A, const double* x, const double* b,
+                         double* r, Int m, double* norms2sq,
+                         WorkCounters* wc) {
+  TRACE_SPAN("spmv.residual_fused", "kernel", "rows", std::int64_t(A.nrows),
+             "cols", std::int64_t(m));
+  HPAMG_CHECK_INVARIANT(
+      check::Depth::kCheap,
+      check::distinct_buffers(r, x, "spmv_residual_norm2sq"));
+  residual<M>(A, x, b, r, m, norms2sq);
+  const Int mm = M ? M : m;
+  count_spmv(wc, A, mm);
+  if (wc) wc->flops += 2 * std::uint64_t(A.nrows) * std::uint64_t(mm);
+}
+
+template <int M>
+void interp_add_identity(const CSRMatrix& Pf, const double* e, double* x,
+                         Int nc, Int m, WorkCounters* wc) {
+  TRACE_SPAN("spmv.interp_identity", "kernel", "rows",
+             std::int64_t(Pf.nrows), "cols", std::int64_t(m));
+  require(Pf.ncols == nc, "interp_add_identity_block: shape mismatch");
+  HPAMG_CHECK_INVARIANT(
+      check::Depth::kCheap,
+      check::distinct_buffers(x, e, "interp_add_identity"));
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
+  const double* HPAMG_RESTRICT ep = e;
+  double* HPAMG_RESTRICT xp = x;
+  const std::size_t ncm = std::size_t(nc) * mm;
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < ncm; ++i) xp[i] += ep[i];
+  for (Int j0 = 0; j0 < mm; j0 += W) {
+    const Int bw = M ? M : std::min(W, mm - j0);
+#pragma omp parallel for schedule(static)
+    for (Int i = 0; i < Pf.nrows; ++i) {
+      double acc[W];
+      for (Int j = 0; j < bw; ++j) acc[j] = 0.0;
+      for (Int k = Pf.rowptr[i]; k < Pf.rowptr[i + 1]; ++k) {
+        const double v = Pf.values[k];
+        const double* HPAMG_RESTRICT er =
+            ep + std::size_t(Pf.colidx[k]) * mm + j0;
+        for (Int j = 0; j < bw; ++j) acc[j] += v * er[j];
+      }
+      double* HPAMG_RESTRICT xr = xp + std::size_t(nc + i) * mm + j0;
+      for (Int j = 0; j < bw; ++j) xr[j] += acc[j];
+    }
+  }
+  count_spmv(wc, Pf, mm);
+  if (wc) wc->flops += std::uint64_t(nc) * std::uint64_t(mm);
+}
+
+template <int M>
+void restrict_identity(const CSRMatrix& PfT, const double* r, double* rc,
+                       Int nc, Int m, WorkCounters* wc) {
+  TRACE_SPAN("spmv.restrict_identity", "kernel", "rows", std::int64_t(nc),
+             "cols", std::int64_t(m));
+  require(PfT.nrows == nc, "restrict_identity_block: shape mismatch");
+  HPAMG_CHECK_INVARIANT(
+      check::Depth::kCheap,
+      check::distinct_buffers(rc, r, "restrict_identity"));
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
+  const double* HPAMG_RESTRICT rp = r;
+  double* HPAMG_RESTRICT rcp = rc;
+  for (Int j0 = 0; j0 < mm; j0 += W) {
+    const Int bw = M ? M : std::min(W, mm - j0);
+#pragma omp parallel for schedule(static)
+    for (Int i = 0; i < nc; ++i) {
+      double acc[W];
+      const double* HPAMG_RESTRICT ri = rp + std::size_t(i) * mm + j0;
+      for (Int j = 0; j < bw; ++j) acc[j] = ri[j];
+      for (Int k = PfT.rowptr[i]; k < PfT.rowptr[i + 1]; ++k) {
+        const double v = PfT.values[k];
+        const double* HPAMG_RESTRICT rr =
+            rp + std::size_t(nc + PfT.colidx[k]) * mm + j0;
+        for (Int j = 0; j < bw; ++j) acc[j] += v * rr[j];
+      }
+      double* HPAMG_RESTRICT rcr = rcp + std::size_t(i) * mm + j0;
+      for (Int j = 0; j < bw; ++j) rcr[j] = acc[j];
+    }
+  }
+  count_spmv(wc, PfT, mm);
+  if (wc) wc->flops += std::uint64_t(nc) * std::uint64_t(mm);
+}
+
+HPAMG_INSTANTIATE_WIDTHS(spmv, const CSRMatrix&, const double*, double*, Int,
+                         WorkCounters*);
+HPAMG_INSTANTIATE_WIDTHS(spmv_residual, const CSRMatrix&, const double*,
+                         const double*, double*, Int, WorkCounters*);
+HPAMG_INSTANTIATE_WIDTHS(spmv_residual_norms, const CSRMatrix&, const double*,
+                         const double*, double*, Int, double*, WorkCounters*);
+HPAMG_INSTANTIATE_WIDTHS(interp_add_identity, const CSRMatrix&, const double*,
+                         double*, Int, Int, WorkCounters*);
+HPAMG_INSTANTIATE_WIDTHS(restrict_identity, const CSRMatrix&, const double*,
+                         double*, Int, Int, WorkCounters*);
+
+}  // namespace block
+
+void spmv(const CSRMatrix& A, const Vector& x, Vector& y, WorkCounters* wc) {
+  require(Int(x.size()) >= A.ncols && Int(y.size()) >= A.nrows,
+          "spmv: vector too small");
+  block::spmv<1>(A, x.data(), y.data(), 1, wc);
 }
 
 void spmv_transpose(const CSRMatrix& A, const Vector& x, Vector& y,
@@ -79,295 +259,27 @@ void spmv_transpose(const CSRMatrix& A, const Vector& x, Vector& y,
 
 void spmv_residual(const CSRMatrix& A, const Vector& x, const Vector& b,
                    Vector& r, WorkCounters* wc) {
-  TRACE_SPAN("spmv.residual", "kernel", "rows", std::int64_t(A.nrows));
   require(Int(r.size()) >= A.nrows, "spmv_residual: r too small");
-  // r aliasing b is fine (b[i] is read before r[i] is written); r aliasing
-  // x is not, because x is read at arbitrary column indices.
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(r.data(), x.data(), "spmv_residual"));
-  const double* HPAMG_RESTRICT xp = x.data();
-  const double* HPAMG_RESTRICT bp = b.data();
-  double* HPAMG_RESTRICT rp = r.data();
-#pragma omp parallel for schedule(static)
-  for (Int i = 0; i < A.nrows; ++i) {
-    double acc = bp[i];
-    for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k)
-      acc -= A.values[k] * xp[A.colidx[k]];
-    rp[i] = acc;
-  }
-  count_spmv(wc, A);
+  block::spmv_residual<1>(A, x.data(), b.data(), r.data(), 1, wc);
 }
 
 double spmv_residual_norm2sq_fused(const CSRMatrix& A, const Vector& x,
                                    const Vector& b, Vector& r,
                                    WorkCounters* wc) {
-  TRACE_SPAN("spmv.residual_fused", "kernel", "rows",
-             std::int64_t(A.nrows));
   require(Int(r.size()) >= A.nrows, "spmv_residual fused: r too small");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(r.data(), x.data(), "spmv_residual_norm2sq"));
-  const double* HPAMG_RESTRICT xp = x.data();
-  const double* HPAMG_RESTRICT bp = b.data();
-  double* HPAMG_RESTRICT rp = r.data();
   double nrm = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : nrm)
-  for (Int i = 0; i < A.nrows; ++i) {
-    double acc = bp[i];
-    for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k)
-      acc -= A.values[k] * xp[A.colidx[k]];
-    rp[i] = acc;
-    nrm += acc * acc;  // fused inner product: r never re-read from memory
-  }
-  count_spmv(wc, A);
-  if (wc) wc->flops += 2 * std::uint64_t(A.nrows);
+  block::spmv_residual_norms<1>(A, x.data(), b.data(), r.data(), 1, &nrm, wc);
   return nrm;
 }
 
 void interp_add_identity_block(const CSRMatrix& Pf, const Vector& e,
                                Vector& x, Int nc, WorkCounters* wc) {
-  TRACE_SPAN("spmv.interp_identity", "kernel", "rows",
-             std::int64_t(Pf.nrows));
-  require(Pf.ncols == nc, "interp_add_identity_block: shape mismatch");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(x.data(), e.data(), "interp_add_identity"));
-  const double* HPAMG_RESTRICT ep = e.data();
-  double* HPAMG_RESTRICT xp = x.data();
-#pragma omp parallel for schedule(static)
-  for (Int i = 0; i < nc; ++i) xp[i] += ep[i];
-#pragma omp parallel for schedule(static)
-  for (Int i = 0; i < Pf.nrows; ++i) {
-    double acc = 0.0;
-    for (Int k = Pf.rowptr[i]; k < Pf.rowptr[i + 1]; ++k)
-      acc += Pf.values[k] * ep[Pf.colidx[k]];
-    xp[nc + i] += acc;
-  }
-  count_spmv(wc, Pf);
-  if (wc) wc->flops += std::uint64_t(nc);
+  block::interp_add_identity<1>(Pf, e.data(), x.data(), nc, 1, wc);
 }
 
 void restrict_identity_block(const CSRMatrix& PfT, const Vector& r,
                              Vector& rc, Int nc, WorkCounters* wc) {
-  TRACE_SPAN("spmv.restrict_identity", "kernel", "rows", std::int64_t(nc));
-  require(PfT.nrows == nc, "restrict_identity_block: shape mismatch");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(rc.data(), r.data(), "restrict_identity"));
-  const double* HPAMG_RESTRICT rp = r.data();
-  double* HPAMG_RESTRICT rcp = rc.data();
-#pragma omp parallel for schedule(static)
-  for (Int i = 0; i < nc; ++i) {
-    double acc = rp[i];
-    for (Int k = PfT.rowptr[i]; k < PfT.rowptr[i + 1]; ++k)
-      acc += PfT.values[k] * rp[nc + PfT.colidx[k]];
-    rcp[i] = acc;
-  }
-  count_spmv(wc, PfT);
-  if (wc) wc->flops += std::uint64_t(nc);
-}
-
-// --------------------------------------------------------------------------
-// Batched (multi-RHS) kernels. Column blocks of kMaxRhsBlock keep the
-// accumulators on the stack; within a block the k-loop order per column is
-// identical to the scalar kernel, so each result column is bitwise-equal to
-// the scalar kernel applied to that column alone.
-// --------------------------------------------------------------------------
-
-void spmv_multi(const CSRMatrix& A, const MultiVector& X, MultiVector& Y,
-                WorkCounters* wc) {
-  TRACE_SPAN("spmv.multi", "kernel", "rows", std::int64_t(A.nrows));
-  require(X.n >= A.ncols && Y.n >= A.nrows && X.m == Y.m,
-          "spmv_multi: shape mismatch");
-  HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
-                        check::distinct_buffers(Y.data.data(), X.data.data(),
-                                                "spmv_multi"));
-  const Int m = X.m;
-  const Int* HPAMG_RESTRICT rowptr = A.rowptr.data();
-  const Int* HPAMG_RESTRICT colidx = A.colidx.data();
-  const double* HPAMG_RESTRICT values = A.values.data();
-  const double* HPAMG_RESTRICT xp = X.data.data();
-  double* HPAMG_RESTRICT yp = Y.data.data();
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
-#pragma omp parallel for schedule(static)
-    for (Int i = 0; i < A.nrows; ++i) {
-      double acc[kMaxRhsBlock];
-      for (Int j = 0; j < bw; ++j) acc[j] = 0.0;
-      for (Int k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        const double v = values[k];
-        const double* HPAMG_RESTRICT xr =
-            xp + std::size_t(colidx[k]) * m + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] += v * xr[j];
-      }
-      double* HPAMG_RESTRICT yr = yp + std::size_t(i) * m + j0;
-      for (Int j = 0; j < bw; ++j) yr[j] = acc[j];
-    }
-  }
-  count_spmv_multi(wc, A, m);
-}
-
-void spmv_residual_multi(const CSRMatrix& A, const MultiVector& X,
-                         const MultiVector& B, MultiVector& R,
-                         WorkCounters* wc) {
-  TRACE_SPAN("spmv.residual_multi", "kernel", "rows", std::int64_t(A.nrows));
-  require(R.n >= A.nrows && B.n >= A.nrows && X.m == R.m && X.m == B.m,
-          "spmv_residual_multi: shape mismatch");
-  HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
-                        check::distinct_buffers(R.data.data(), X.data.data(),
-                                                "spmv_residual_multi"));
-  const Int m = X.m;
-  const Int* HPAMG_RESTRICT rowptr = A.rowptr.data();
-  const Int* HPAMG_RESTRICT colidx = A.colidx.data();
-  const double* HPAMG_RESTRICT values = A.values.data();
-  const double* HPAMG_RESTRICT xp = X.data.data();
-  const double* HPAMG_RESTRICT bp = B.data.data();
-  double* HPAMG_RESTRICT rp = R.data.data();
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
-#pragma omp parallel for schedule(static)
-    for (Int i = 0; i < A.nrows; ++i) {
-      double acc[kMaxRhsBlock];
-      const double* HPAMG_RESTRICT br = bp + std::size_t(i) * m + j0;
-      for (Int j = 0; j < bw; ++j) acc[j] = br[j];
-      for (Int k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-        const double v = values[k];
-        const double* HPAMG_RESTRICT xr =
-            xp + std::size_t(colidx[k]) * m + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
-      }
-      double* HPAMG_RESTRICT rr = rp + std::size_t(i) * m + j0;
-      for (Int j = 0; j < bw; ++j) rr[j] = acc[j];
-    }
-  }
-  count_spmv_multi(wc, A, m);
-}
-
-void spmv_residual_norms2sq_fused_multi(const CSRMatrix& A,
-                                        const MultiVector& X,
-                                        const MultiVector& B, MultiVector& R,
-                                        std::vector<double>& norms2sq,
-                                        WorkCounters* wc) {
-  TRACE_SPAN("spmv.residual_fused_multi", "kernel", "rows",
-             std::int64_t(A.nrows));
-  require(R.n >= A.nrows && B.n >= A.nrows && X.m == R.m && X.m == B.m,
-          "spmv_residual fused multi: shape mismatch");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(R.data.data(), X.data.data(),
-                              "spmv_residual_norms2sq_multi"));
-  const Int m = X.m;
-  norms2sq.assign(std::size_t(m), 0.0);
-  const Int* HPAMG_RESTRICT rowptr = A.rowptr.data();
-  const Int* HPAMG_RESTRICT colidx = A.colidx.data();
-  const double* HPAMG_RESTRICT values = A.values.data();
-  const double* HPAMG_RESTRICT xp = X.data.data();
-  const double* HPAMG_RESTRICT bp = B.data.data();
-  double* HPAMG_RESTRICT rp = R.data.data();
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
-#pragma omp parallel
-    {
-      double local[kMaxRhsBlock];
-      for (Int j = 0; j < bw; ++j) local[j] = 0.0;
-#pragma omp for schedule(static) nowait
-      for (Int i = 0; i < A.nrows; ++i) {
-        double acc[kMaxRhsBlock];
-        const double* HPAMG_RESTRICT br = bp + std::size_t(i) * m + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] = br[j];
-        for (Int k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-          const double v = values[k];
-          const double* HPAMG_RESTRICT xr =
-              xp + std::size_t(colidx[k]) * m + j0;
-          for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
-        }
-        double* HPAMG_RESTRICT rr = rp + std::size_t(i) * m + j0;
-        for (Int j = 0; j < bw; ++j) {
-          rr[j] = acc[j];
-          local[j] += acc[j] * acc[j];  // fused: r never re-read from memory
-        }
-      }
-#pragma omp critical(hpamg_residual_norms_multi)
-      for (Int j = 0; j < bw; ++j) norms2sq[std::size_t(j0 + j)] += local[j];
-    }
-  }
-  count_spmv_multi(wc, A, m);
-  if (wc) wc->flops += 2 * std::uint64_t(A.nrows) * std::uint64_t(m);
-}
-
-void interp_add_identity_block_multi(const CSRMatrix& Pf,
-                                     const MultiVector& E, MultiVector& X,
-                                     Int nc, WorkCounters* wc) {
-  TRACE_SPAN("spmv.interp_identity_multi", "kernel", "rows",
-             std::int64_t(Pf.nrows));
-  require(Pf.ncols == nc && E.m == X.m,
-          "interp_add_identity_block_multi: shape mismatch");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(X.data.data(), E.data.data(),
-                              "interp_add_identity_multi"));
-  const Int m = X.m;
-  const double* HPAMG_RESTRICT ep = E.data.data();
-  double* HPAMG_RESTRICT xp = X.data.data();
-#pragma omp parallel for schedule(static)
-  for (Int i = 0; i < nc; ++i) {
-    const std::size_t off = std::size_t(i) * m;
-    for (Int j = 0; j < m; ++j) xp[off + j] += ep[off + j];
-  }
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
-#pragma omp parallel for schedule(static)
-    for (Int i = 0; i < Pf.nrows; ++i) {
-      double acc[kMaxRhsBlock];
-      for (Int j = 0; j < bw; ++j) acc[j] = 0.0;
-      for (Int k = Pf.rowptr[i]; k < Pf.rowptr[i + 1]; ++k) {
-        const double v = Pf.values[k];
-        const double* HPAMG_RESTRICT er =
-            ep + std::size_t(Pf.colidx[k]) * m + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] += v * er[j];
-      }
-      double* HPAMG_RESTRICT xr = xp + std::size_t(nc + i) * m + j0;
-      for (Int j = 0; j < bw; ++j) xr[j] += acc[j];
-    }
-  }
-  count_spmv_multi(wc, Pf, m);
-  if (wc) wc->flops += std::uint64_t(nc) * std::uint64_t(m);
-}
-
-void restrict_identity_block_multi(const CSRMatrix& PfT, const MultiVector& r,
-                                   MultiVector& rc, Int nc,
-                                   WorkCounters* wc) {
-  TRACE_SPAN("spmv.restrict_identity_multi", "kernel", "rows",
-             std::int64_t(nc));
-  require(PfT.nrows == nc && r.m == rc.m,
-          "restrict_identity_block_multi: shape mismatch");
-  HPAMG_CHECK_INVARIANT(
-      check::Depth::kCheap,
-      check::distinct_buffers(rc.data.data(), r.data.data(),
-                              "restrict_identity_multi"));
-  const Int m = r.m;
-  const double* HPAMG_RESTRICT rp = r.data.data();
-  double* HPAMG_RESTRICT rcp = rc.data.data();
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
-#pragma omp parallel for schedule(static)
-    for (Int i = 0; i < nc; ++i) {
-      double acc[kMaxRhsBlock];
-      const double* HPAMG_RESTRICT ri = rp + std::size_t(i) * m + j0;
-      for (Int j = 0; j < bw; ++j) acc[j] = ri[j];
-      for (Int k = PfT.rowptr[i]; k < PfT.rowptr[i + 1]; ++k) {
-        const double v = PfT.values[k];
-        const double* HPAMG_RESTRICT rr =
-            rp + std::size_t(nc + PfT.colidx[k]) * m + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] += v * rr[j];
-      }
-      double* HPAMG_RESTRICT rcr = rcp + std::size_t(i) * m + j0;
-      for (Int j = 0; j < bw; ++j) rcr[j] = acc[j];
-    }
-  }
-  count_spmv_multi(wc, PfT, m);
-  if (wc) wc->flops += std::uint64_t(nc) * std::uint64_t(m);
+  block::restrict_identity<1>(PfT, r.data(), rc.data(), nc, 1, wc);
 }
 
 }  // namespace hpamg

@@ -53,37 +53,39 @@ void restrict_identity_block(const CSRMatrix& PfT, const Vector& r,
                              Vector& rc, Int nc, WorkCounters* wc = nullptr);
 
 // ------------------------------------------------------------------------
-// Batched (multi-RHS) kernels: one pass over A applies every column of a
-// row-major multivector. Per column, the arithmetic order is identical to
-// the scalar kernel above, so column j of the result is bitwise-equal to
-// the scalar kernel applied to column j.
+// The one implementation of each kernel above, on n x m row-major blocks
+// (x[i * m + j]; a MultiVector's data, or a Vector as m = 1). M = 1 is the
+// single-column instance the Vector entry points forward to; M = 0 takes
+// any m, in column blocks of kMaxRhsBlock (see with_width in
+// matrix/vector_ops.hpp). The V-cycle and the block Krylov loops call these
+// directly.
 // ------------------------------------------------------------------------
 
-/// Y = A * X for all columns.
-void spmv_multi(const CSRMatrix& A, const MultiVector& X, MultiVector& Y,
-                WorkCounters* wc = nullptr);
+namespace block {
 
-/// R = B - A * X for all columns.
-void spmv_residual_multi(const CSRMatrix& A, const MultiVector& X,
-                         const MultiVector& B, MultiVector& R,
-                         WorkCounters* wc = nullptr);
+template <int M>
+void spmv(const CSRMatrix& A, const double* x, double* y, Int m,
+          WorkCounters* wc);
 
-/// R = B - A * X, returning per-column <r_j, r_j> computed in the same
-/// pass (the §3.3 fusion, batched). `norms2sq` is resized to X.m.
-void spmv_residual_norms2sq_fused_multi(const CSRMatrix& A,
-                                        const MultiVector& X,
-                                        const MultiVector& B, MultiVector& R,
-                                        std::vector<double>& norms2sq,
-                                        WorkCounters* wc = nullptr);
+template <int M>
+void spmv_residual(const CSRMatrix& A, const double* x, const double* b,
+                   double* r, Int m, WorkCounters* wc);
 
-/// X += P * E per column for the CF-permuted P = [I; P_F].
-void interp_add_identity_block_multi(const CSRMatrix& Pf,
-                                     const MultiVector& E, MultiVector& X,
-                                     Int nc, WorkCounters* wc = nullptr);
+/// Residual plus per-column <r_j, r_j> into norms2sq[0..m), with the
+/// thread partials added in thread-index order (deterministic).
+template <int M>
+void spmv_residual_norms(const CSRMatrix& A, const double* x, const double* b,
+                         double* r, Int m, double* norms2sq,
+                         WorkCounters* wc);
 
-/// Rc = R * Rfine per column for R = [I | PfT].
-void restrict_identity_block_multi(const CSRMatrix& PfT, const MultiVector& r,
-                                   MultiVector& rc, Int nc,
-                                   WorkCounters* wc = nullptr);
+template <int M>
+void interp_add_identity(const CSRMatrix& Pf, const double* e, double* x,
+                         Int nc, Int m, WorkCounters* wc);
+
+template <int M>
+void restrict_identity(const CSRMatrix& PfT, const double* r, double* rc,
+                       Int nc, Int m, WorkCounters* wc);
+
+}  // namespace block
 
 }  // namespace hpamg

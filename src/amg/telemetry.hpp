@@ -42,6 +42,23 @@ struct CycleTelemetryHook {
   void add(std::size_t l, double seconds);
 };
 
+/// Attaches `hook` to a hierarchy's telemetry slot for one solve and
+/// detaches it on every exit path (the hook lives on the solve's stack
+/// frame; the hierarchy outlives it).
+template <typename Hierarchy>
+class TelemetryLoan {
+ public:
+  TelemetryLoan(Hierarchy& h, CycleTelemetryHook* hook) : h_(h) {
+    h_.telemetry = hook;
+  }
+  ~TelemetryLoan() { h_.telemetry = nullptr; }
+  TelemetryLoan(const TelemetryLoan&) = delete;
+  TelemetryLoan& operator=(const TelemetryLoan&) = delete;
+
+ private:
+  Hierarchy& h_;
+};
+
 /// Builds one report entry from a completed cycle: convergence factor is
 /// relres / prev_relres, smoother fields are filled when the hook measured
 /// the pre-smooth residual (left negative -> omitted from JSON otherwise).

@@ -112,51 +112,64 @@ SolveReport DistHierarchy::report(const DistSolveResult* sr) const {
   return rep;
 }
 
-void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
-               const Vector& x, Vector& x_ext, Vector& y) {
-  TRACE_SPAN("dist.spmv", "kernel", "rows", std::int64_t(A.local_rows()));
-  halo.exchange(x, x_ext);
-  const Int n = A.local_rows();
-  y.resize(n);
-  for (Int i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k)
-      acc += A.diag.values[k] * x[A.diag.colidx[k]];
-    for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k)
-      acc += A.offd.values[k] * x_ext[A.offd.colidx[k]];
-    y[i] = acc;
-  }
-}
+namespace {
 
-void dist_spmv_multi(simmpi::Comm& comm, const DistMatrix& A,
-                     HaloExchange& halo, const MultiVector& X,
-                     MultiVector& X_ext, MultiVector& Y) {
-  TRACE_SPAN("dist.spmv_multi", "kernel", "rows",
-             std::int64_t(A.local_rows()));
-  (void)comm;
-  halo.exchange(X, X_ext);
+/// The one local distributed-SpMV body, on n x m row-major blocks (M as in
+/// with_width): y = diag * x + offd * x_ext.
+template <int M>
+void dist_spmv_local(const DistMatrix& A, const double* x,
+                     const double* x_ext, double* y, Int m) {
+  constexpr Int W = M ? M : kMaxRhsBlock;
+  const Int mm = M ? M : m;
   const Int n = A.local_rows();
-  const Int m = X.m;
-  Y.resize(n, m);
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
+  for (Int j0 = 0; j0 < mm; j0 += W) {
+    const Int bw = M ? M : std::min(W, mm - j0);
     for (Int i = 0; i < n; ++i) {
-      double acc[kMaxRhsBlock];
+      double acc[W];
       for (Int j = 0; j < bw; ++j) acc[j] = 0.0;
       for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
         const double a = A.diag.values[k];
-        const double* HPAMG_RESTRICT xr = X.row(A.diag.colidx[k]) + j0;
+        const double* xr = x + std::size_t(A.diag.colidx[k]) * mm + j0;
         for (Int j = 0; j < bw; ++j) acc[j] += a * xr[j];
       }
       for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k) {
         const double a = A.offd.values[k];
-        const double* HPAMG_RESTRICT xr = X_ext.row(A.offd.colidx[k]) + j0;
+        const double* xr = x_ext + std::size_t(A.offd.colidx[k]) * mm + j0;
         for (Int j = 0; j < bw; ++j) acc[j] += a * xr[j];
       }
-      double* HPAMG_RESTRICT yr = Y.row(i) + j0;
+      double* yr = y + std::size_t(i) * mm + j0;
       for (Int j = 0; j < bw; ++j) yr[j] = acc[j];
     }
   }
+}
+
+}  // namespace
+
+void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
+               const Vector& x, Vector& x_ext, Vector& y) {
+  TRACE_SPAN("dist.spmv", "kernel", "rows", std::int64_t(A.local_rows()));
+  halo.exchange(x, x_ext);
+  y.resize(A.local_rows());
+  dist_spmv_local<1>(A, x.data(), x_ext.data(), y.data(), 1);
+}
+
+void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
+               const MultiVector& X, MultiVector& X_ext, MultiVector& Y) {
+  TRACE_SPAN("dist.spmv", "kernel", "rows", std::int64_t(A.local_rows()),
+             "cols", std::int64_t(X.m));
+  halo.exchange(X, X_ext);
+  Y.resize(A.local_rows(), X.m);
+  with_width(X.m, [&]<int M>() {
+    dist_spmv_local<M>(A, X.data.data(), X_ext.data.data(), Y.data.data(),
+                       X.m);
+  });
+}
+
+void dist_residual(simmpi::Comm& comm, const DistMatrix& A,
+                   HaloExchange& halo, const Vector& x, Vector& x_ext,
+                   const Vector& b, Vector& r) {
+  dist_spmv(comm, A, halo, x, x_ext, r);
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
 }
 
 void dist_spmv_transpose(simmpi::Comm& comm, const DistMatrix& A,
@@ -262,11 +275,6 @@ void smooth_level(simmpi::Comm& comm, DistHierarchy& h, DistLevel& L,
   }
 }
 
-void dist_residual(simmpi::Comm& comm, DistLevel& L, const Vector& b,
-                   const Vector& x, Vector& r) {
-  dist_spmv(comm, L.A, *L.halo_A, x, L.x_ext, r);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-}
 
 /// Analytic work estimate for `passes` streaming sweeps over a distributed
 /// CSR operator. The dist kernels do not thread WorkCounters (they run
@@ -344,7 +352,7 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
     attrib::Scope as("dist.residual_restrict", int(l), nullptr,
                      attrib::Scope::Clock::kCpu);
     WorkCounters est = est_csr_pass(L.A, 1);
-    dist_residual(comm, L, L.b, L.x, L.r);
+    dist_residual(comm, L.A, *L.halo_A, L.x, L.x_ext, L.b, L.r);
     if (optimized && L.has_R) {
       est += est_csr_pass(L.R, 1);
       dist_spmv(comm, L.R, *L.halo_R, L.r, L.temp, N.b);

@@ -105,10 +105,15 @@ void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
 
 /// Y = A X for all columns, with ONE batched halo exchange (all m values
 /// per boundary row in a single message per peer — per-RHS message count
-/// is 1/m of calling dist_spmv per column).
-void dist_spmv_multi(simmpi::Comm& comm, const DistMatrix& A,
-                     HaloExchange& halo, const MultiVector& X,
-                     MultiVector& X_ext, MultiVector& Y);
+/// is 1/m of calling dist_spmv per column). Same body as the Vector form,
+/// which is its compiled m = 1 instance.
+void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
+               const MultiVector& X, MultiVector& X_ext, MultiVector& Y);
+
+/// r = b - A x with a caller-provided halo pattern and scratch x_ext.
+void dist_residual(simmpi::Comm& comm, const DistMatrix& A,
+                   HaloExchange& halo, const Vector& x, Vector& x_ext,
+                   const Vector& b, Vector& r);
 
 /// y = A^T x via partial-sum scatter + triplet exchange (the baseline
 /// restriction path: no stored transpose).

@@ -15,29 +15,6 @@
 
 namespace hpamg {
 
-namespace {
-
-/// Residual with a caller-provided halo (avoids rebuilding patterns).
-void residual(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
-              const Vector& x, Vector& x_ext, const Vector& b, Vector& r) {
-  dist_spmv(comm, A, halo, x, x_ext, r);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-}
-
-/// Detaches the telemetry hook on every exit path (the hook lives on the
-/// solve's stack frame; the hierarchy outlives it).
-struct TelemetryLoan {
-  DistHierarchy& h;
-  TelemetryLoan(DistHierarchy& hier, CycleTelemetryHook* hook) : h(hier) {
-    h.telemetry = hook;
-  }
-  ~TelemetryLoan() { h.telemetry = nullptr; }
-  TelemetryLoan(const TelemetryLoan&) = delete;
-  TelemetryLoan& operator=(const TelemetryLoan&) = delete;
-};
-
-}  // namespace
-
 DistSolveResult dist_fgmres(simmpi::Comm& comm, const DistMatrix& A,
                             DistHierarchy& h, const Vector& b, Vector& x,
                             double rtol, Int max_iterations, Int restart) {
@@ -83,7 +60,7 @@ DistSolveResult dist_fgmres(simmpi::Comm& comm, const DistMatrix& A,
   while (total_it < max_iterations) {
     {
       CpuTimer t;
-      residual(comm, A, halo, x, x_ext, b, r);
+      dist_residual(comm, A, halo, x, x_ext, b, r);
       pt.add("SpMV", t.seconds());
     }
     CpuTimer t2;
@@ -249,8 +226,7 @@ DistSolveResult dist_amg_solve(simmpi::Comm& comm, const DistMatrix& A,
     }
     dist_vcycle(comm, h, b, x, &pt);
     CpuTimer t;
-    dist_spmv(comm, A, halo, x, x_ext, r);
-    for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+    dist_residual(comm, A, halo, x, x_ext, b, r);
     pt.add("SpMV", t.seconds());
     CpuTimer t2;
     relres = dist_norm2(comm, r) / normb;

@@ -97,64 +97,51 @@ Status HaloExchange::check_symmetry() {
 }
 
 template <typename T>
-void HaloExchange::exchange_impl(const T* local, T* ext, int tag) {
-  TRACE_SPAN("halo.exchange", "comm", "ext_size", std::int64_t(ext_size_));
+void HaloExchange::exchange_impl(const T* local, T* ext, int tag, Int width) {
+  TRACE_SPAN("halo.exchange", "comm", "ext_size", std::int64_t(ext_size_),
+             "width", std::int64_t(width));
+  // All `width` values of a boundary row travel together: one message per
+  // peer whatever the width (a multi-RHS exchange costs 1/m messages per
+  // right-hand side), with an m-proportional byte volume.
+  const std::size_t w = std::size_t(width);
   std::vector<T> buf;
   for (const SendPeer& sp : send_peers_) {
-    buf.resize(sp.local_idx.size());
-    for (std::size_t k = 0; k < sp.local_idx.size(); ++k)
-      buf[k] = local[sp.local_idx[k]];
+    buf.resize(sp.local_idx.size() * w);
+    for (std::size_t k = 0; k < sp.local_idx.size(); ++k) {
+      const T* row = local + std::size_t(sp.local_idx[k]) * w;
+      for (std::size_t j = 0; j < w; ++j) buf[k * w + j] = row[j];
+    }
     comm_.send(sp.rank, tag, buf.data(), buf.size() * sizeof(T), persistent_);
   }
   for (const RecvPeer& rp : recv_peers_) {
     std::vector<T> in = comm_.recv_vec<T>(rp.rank, tag);
-    require(Int(in.size()) == rp.count, "HaloExchange: size mismatch");
-    std::copy(in.begin(), in.end(), ext + rp.offset);
+    require(in.size() == std::size_t(rp.count) * w,
+            "HaloExchange: size mismatch");
+    std::copy(in.begin(), in.end(), ext + std::size_t(rp.offset) * w);
   }
 }
 
 void HaloExchange::exchange(const Vector& x_local, Vector& x_ext) {
   x_ext.resize(ext_size_);
-  exchange_impl(x_local.data(), x_ext.data(), tag_base_);
+  exchange_impl(x_local.data(), x_ext.data(), tag_base_, 1);
 }
 
 void HaloExchange::exchange(const std::vector<signed char>& local,
                             std::vector<signed char>& ext) {
   ext.resize(ext_size_);
-  exchange_impl(local.data(), ext.data(), tag_base_ + 1);
+  exchange_impl(local.data(), ext.data(), tag_base_ + 1, 1);
 }
 
 void HaloExchange::exchange(const std::vector<Long>& local,
                             std::vector<Long>& ext) {
   ext.resize(ext_size_);
-  exchange_impl(local.data(), ext.data(), tag_base_ + 2);
+  exchange_impl(local.data(), ext.data(), tag_base_ + 2, 1);
 }
 
 void HaloExchange::exchange(const MultiVector& x_local, MultiVector& x_ext) {
-  TRACE_SPAN("halo.exchange_multi", "comm", "ext_size",
-             std::int64_t(ext_size_));
-  const Int m = x_local.m;
-  x_ext.resize(ext_size_, m);
-  const int tag = tag_base_ + 3;
-  // Pack all m values of each boundary row contiguously: one message per
-  // peer regardless of the RHS count, so per-RHS message count is 1/m of
-  // the scalar exchange while the byte volume stays m-proportional.
-  std::vector<double> buf;
-  for (const SendPeer& sp : send_peers_) {
-    buf.resize(sp.local_idx.size() * std::size_t(m));
-    for (std::size_t k = 0; k < sp.local_idx.size(); ++k) {
-      const double* HPAMG_RESTRICT row = x_local.row(sp.local_idx[k]);
-      for (Int j = 0; j < m; ++j) buf[k * std::size_t(m) + j] = row[j];
-    }
-    comm_.send(sp.rank, tag, buf.data(), buf.size() * sizeof(double),
-               persistent_);
-  }
-  for (const RecvPeer& rp : recv_peers_) {
-    std::vector<double> in = comm_.recv_vec<double>(rp.rank, tag);
-    require(Int(in.size()) == rp.count * m,
-            "HaloExchange: multi-RHS size mismatch");
-    std::copy(in.begin(), in.end(), x_ext.row(rp.offset));
-  }
+  x_ext.resize(ext_size_, x_local.m);
+  exchange_impl(x_local.data.data(), x_ext.data.data(), tag_base_,
+                x_local.m);
 }
 
 GatheredRows gather_rows(simmpi::Comm& comm, const DistMatrix& B,

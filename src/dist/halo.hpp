@@ -60,8 +60,9 @@ class HaloExchange {
   Status check_symmetry();
 
  private:
+  /// Ships `width` consecutive values per element (row-major blocks).
   template <typename T>
-  void exchange_impl(const T* local, T* ext, int tag);
+  void exchange_impl(const T* local, T* ext, int tag, Int width);
 
   struct SendPeer {
     int rank;

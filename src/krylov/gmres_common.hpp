@@ -1,9 +1,12 @@
-// Shared Arnoldi/Givens machinery for GMRES and FGMRES.
+// Shared Arnoldi/Givens machinery for GMRES and FGMRES, and the adapters
+// that run a single Vector through the block Krylov loops' m = 1 instance.
 #pragma once
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "krylov/krylov.hpp"
 #include "matrix/vector_ops.hpp"
 #include "support/common.hpp"
 
@@ -67,6 +70,24 @@ class HessenbergLS {
   std::vector<double> h_;
   std::vector<double> cs_, sn_, g_;
 };
+
+/// The block loops' view of a Vector preconditioner (null stays null).
+inline MultiPreconditioner as_block(const Preconditioner& p) {
+  if (!p) return nullptr;
+  return [&p](const MultiVector& R, MultiVector& Z) { p(R.data, Z.data); };
+}
+
+/// The single-column result of an m = 1 block solve.
+inline KrylovResult single_column(BlockKrylovResult&& br) {
+  KrylovResult r;
+  r.iterations = br.iterations;
+  r.final_relres = worst_column(br.final_relres);
+  r.converged = br.converged;
+  r.status = br.status;
+  r.nonfinite_iteration = br.nonfinite_iteration;
+  r.history = std::move(br.history);
+  return r;
+}
 
 }  // namespace detail
 }  // namespace hpamg

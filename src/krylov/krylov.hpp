@@ -50,7 +50,8 @@ struct KrylovOptions {
                  const KrylovOptions& opt = {},
                  const Preconditioner& precond = nullptr);
 
-/// Right-preconditioned restarted GMRES(m).
+/// Right-preconditioned restarted GMRES(m): the same loop as fgmres, with
+/// x += M^{-1} (V y) instead of a stored preconditioned basis.
 [[nodiscard]] KrylovResult gmres(const CSRMatrix& A, const Vector& b, Vector& x,
                    const KrylovOptions& opt = {},
                    const Preconditioner& precond = nullptr);
@@ -66,7 +67,8 @@ struct KrylovOptions {
 // the batched SpMV and one batched preconditioner apply per iteration. The
 // columns stay mathematically independent (no shared search space), so each
 // converges like the scalar method on that column — the win is bandwidth
-// amortization, matching the AMG multi-RHS path it composes with.
+// amortization, matching the AMG multi-RHS path it composes with. pcg and
+// fgmres above are the compiled m = 1 instances of these loops.
 // ---------------------------------------------------------------------------
 
 /// Batched preconditioner apply: Z = M^{-1} R column-wise (Z overwritten).
@@ -83,6 +85,8 @@ struct BlockKrylovResult {
   std::vector<double> final_relres;  ///< per column
   /// Per column: iteration at which it converged (0 = on entry, -1 = not).
   std::vector<Int> col_iterations;
+  /// Worst column's relative residual after each iteration.
+  std::vector<double> history;
 };
 
 /// Block PCG: per-column alpha/beta/rho recurrences; converged or

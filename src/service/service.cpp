@@ -158,12 +158,12 @@ void SolverService::stop(bool drain) {
 
 std::future<RequestReport> SolverService::submit(CSRMatrix A, Vector b,
                                                  const RequestOptions& ropts) {
-  auto rq = std::make_shared<Request>();
-  rq->A = std::make_shared<const CSRMatrix>(std::move(A));
-  rq->b = std::move(b);
-  rq->multi = false;
-  rq->opts = ropts;
-  return admit(std::move(rq));
+  // The vector moves into an n x 1 block: one request path for any m.
+  MultiVector B;
+  B.n = Int(b.size());
+  B.m = 1;
+  B.data = std::move(b);
+  return submit_multi(std::move(A), std::move(B), ropts);
 }
 
 std::future<RequestReport> SolverService::submit_multi(
@@ -171,7 +171,6 @@ std::future<RequestReport> SolverService::submit_multi(
   auto rq = std::make_shared<Request>();
   rq->A = std::make_shared<const CSRMatrix>(std::move(A));
   rq->B = std::move(B);
-  rq->multi = true;
   rq->opts = ropts;
   return admit(std::move(rq));
 }
@@ -187,16 +186,17 @@ std::future<RequestReport> SolverService::admit(std::shared_ptr<Request> rq) {
   // and resolves to kInvalidInput through the setup path.
   try {
     rq->A->validate();
-    if (rq->multi)
-      require(rq->B.n == rq->A->nrows && rq->B.m > 0,
-              "service: rhs block shape mismatch");
-    else
-      require(Int(rq->b.size()) == rq->A->nrows, "service: rhs size mismatch");
+    require(rq->B.n == rq->A->nrows && rq->B.m > 0 &&
+                rq->B.data.size() == std::size_t(rq->B.n) * rq->B.m,
+            "service: rhs size mismatch");
   } catch (const std::exception& e) {
     finish(*rq, Status::kInvalidInput, std::string("invalid input: ") + e.what());
     return fut;
   }
   rq->fingerprint = matrix_fingerprint(*rq->A);
+  // Chaos hook: a forced fingerprint collision (every firing request maps
+  // to one key), exercising the pool's operator-identity check.
+  if (fault::should_fire("service.fingerprint.collide")) rq->fingerprint = 0;
   rq->report.fingerprint = rq->fingerprint;
 
   // Chaos hook: deterministic admission rejection (tests/test_service.cpp,
@@ -300,6 +300,8 @@ void SolverService::finish(Request& rq, Status status,
     stats_->completed_ok.bump();
   else
     stats_->failed.bump();
+  // Single-RHS callers read the iterate as a Vector.
+  if (rq.report.X.m == 1) rq.report.x = rq.report.X.data;
   rq.promise.set_value(std::move(rq.report));
 }
 
@@ -350,23 +352,26 @@ void SolverService::process(Request& rq) {
   }
 
   Status final_status = Status::kUnknown;
-  {
-    std::lock_guard<std::mutex> slk(entry->solve_mu);
-    // A second request for the same fingerprint blocks here during the
-    // first one's setup, then sees the built solver: a cache hit.
-    rq.report.cache_hit = (entry->solver != nullptr);
-    if (rq.report.cache_hit) stats_->cache_hits.bump();
-
-    double backoff = opts_.backoff_initial_s;
-    for (Int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
-      rq.report.attempts = attempt;
-      if (rq.opts.deadline.expired()) {
-        final_status = Status::kDeadlineExceeded;
-        rq.report.events.push_back("deadline expired before attempt " +
-                                   std::to_string(attempt));
-        break;
+  double backoff = opts_.backoff_initial_s;
+  for (Int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
+    rq.report.attempts = attempt;
+    if (rq.opts.deadline.expired()) {
+      final_status = Status::kDeadlineExceeded;
+      rq.report.events.push_back("deadline expired before attempt " +
+                                 std::to_string(attempt));
+      break;
+    }
+    Status s = Status::kOk;
+    {
+      // AMGSolver's workspace is per hierarchy: attempts on one entry
+      // serialize here. A second request for the same operator blocks
+      // during the first one's setup, then sees the built solver: a cache
+      // hit. The lock is not held through a retry's backoff.
+      std::lock_guard<std::mutex> slk(entry->solve_mu);
+      if (attempt == 1) {
+        rq.report.cache_hit = (entry->solver != nullptr);
+        if (rq.report.cache_hit) stats_->cache_hits.bump();
       }
-      Status s = Status::kOk;
       if (!entry->solver) {
         TRACE_SPAN("service.setup", "phase");
         try {
@@ -379,24 +384,24 @@ void SolverService::process(Request& rq) {
         }
       }
       if (entry->solver) s = run_attempt(rq, *entry->solver);
-      final_status = s;
-      if (!is_transient(s)) break;
-      if (attempt == opts_.max_attempts) {
-        rq.report.events.push_back("retry budget exhausted after " +
-                                   std::to_string(attempt) + " attempts");
-        break;
-      }
-      stats_->retries.bump();
-      double delay = backoff;
-      if (rq.opts.deadline.bounded())
-        delay = std::min(delay, std::max(0.0, rq.opts.deadline.remaining_s()));
-      rq.report.events.push_back(
-          "attempt " + std::to_string(attempt) + " failed (" +
-          status_name(s) + "): retrying after " + fmt_s(delay) + " backoff");
-      if (delay > 0.0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      backoff = std::min(backoff * 2.0, opts_.backoff_max_s);
     }
+    final_status = s;
+    if (!is_transient(s)) break;
+    if (attempt == opts_.max_attempts) {
+      rq.report.events.push_back("retry budget exhausted after " +
+                                 std::to_string(attempt) + " attempts");
+      break;
+    }
+    stats_->retries.bump();
+    double delay = backoff;
+    if (rq.opts.deadline.bounded())
+      delay = std::min(delay, std::max(0.0, rq.opts.deadline.remaining_s()));
+    rq.report.events.push_back(
+        "attempt " + std::to_string(attempt) + " failed (" + status_name(s) +
+        "): retrying after " + fmt_s(delay) + " backoff");
+    if (delay > 0.0)
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    backoff = std::min(backoff * 2.0, opts_.backoff_max_s);
   }
 
   breaker_record(*entry, is_probe, final_status);
@@ -407,29 +412,16 @@ Status SolverService::run_attempt(Request& rq, AMGSolver& solver) {
   const auto t0 = Deadline::Clock::now();
   Status s = Status::kUnknown;
   try {
-    if (!rq.multi) {
-      // Clean restart every attempt: a failed attempt may have left NaNs
-      // in the iterate, which would poison the retry as an initial guess.
-      rq.report.x.assign(rq.b.size(), 0.0);
-      const SolveResult sr =
-          solver.solve(rq.b, rq.report.x, rq.opts.rtol, rq.opts.max_iterations,
-                       rq.opts.deadline);
-      rq.report.iterations += sr.iterations;
-      rq.report.final_relres = sr.final_relres;
-      for (const auto& e : sr.events) rq.report.events.push_back(e);
-      s = sr.status;
-    } else {
-      rq.report.X.resize(rq.B.n, rq.B.m);  // zero-fills
-      MultiSolveResult mr =
-          solver.solve_multi(rq.B, rq.report.X, rq.opts.rtol,
-                             rq.opts.max_iterations, rq.opts.deadline);
-      rq.report.iterations += mr.iterations;
-      double worst = 0.0;
-      for (const double rr : mr.final_relres) worst = std::max(worst, rr);
-      rq.report.final_relres = worst;
-      for (auto& e : mr.events) rq.report.events.push_back(std::move(e));
-      s = mr.status;
-    }
+    // Clean restart every attempt: a failed attempt may have left NaNs in
+    // the iterate, which would poison the retry as an initial guess.
+    rq.report.X.resize(rq.B.n, rq.B.m);
+    MultiSolveResult mr =
+        solver.solve_multi(rq.B, rq.report.X, rq.opts.rtol,
+                           rq.opts.max_iterations, rq.opts.deadline);
+    rq.report.iterations += mr.iterations;
+    rq.report.final_relres = worst_column(mr.final_relres);
+    for (auto& e : mr.events) rq.report.events.push_back(std::move(e));
+    s = mr.status;
   } catch (const std::exception& e) {
     s = status_from_exception(e);
     rq.report.events.push_back(std::string("solve threw: ") + e.what());
@@ -446,12 +438,29 @@ Status SolverService::run_attempt(Request& rq, AMGSolver& solver) {
 }
 
 std::shared_ptr<SolverService::Entry> SolverService::acquire_entry(
-    const Request& rq) {
+    Request& rq) {
   std::lock_guard<std::mutex> lk(pool_mu_);
   auto it = pool_.find(rq.fingerprint);
   if (it != pool_.end()) {
-    it->second->last_used = ++use_seq_;
-    return it->second;
+    // The fingerprint alone does not prove identity: a hit must be the
+    // same operator. A collision is served by a fresh entry that is not
+    // cached (the pooled operator keeps its slot and its breaker).
+    const CSRMatrix& a = *rq.A;
+    const CSRMatrix& cached = *it->second->A;
+    if (rq.A == it->second->A ||
+        (a.nrows == cached.nrows && a.ncols == cached.ncols &&
+         a.rowptr == cached.rowptr && a.colidx == cached.colidx &&
+         a.values == cached.values)) {
+      it->second->last_used = ++use_seq_;
+      return it->second;
+    }
+    rq.report.events.push_back("fingerprint " + fp_hex(rq.fingerprint) +
+                               " collides with a different cached operator:"
+                               " solved uncached");
+    auto e = std::make_shared<Entry>();
+    e->fingerprint = rq.fingerprint;
+    e->A = rq.A;
+    return e;
   }
   if (pool_.size() >= opts_.max_hierarchies) {
     auto victim = pool_.begin();

@@ -106,8 +106,8 @@ struct RequestReport {
   /// Decision log: degrade notes, retry/backoff notes, breaker verdicts,
   /// solver incident events (partial-result notes on deadline expiry).
   std::vector<std::string> events;
-  Vector x;                     ///< iterate (single-RHS; partial on failure)
-  MultiVector X{0, 1};          ///< iterate (multi-RHS requests)
+  Vector x;                     ///< iterate when m = 1 (partial on failure)
+  MultiVector X{0, 1};          ///< iterate, n x m (any request)
 };
 
 /// Mirror of the service.* counters, maintained unconditionally (plain
@@ -149,6 +149,7 @@ class SolverService {
 
   /// Batched submission: all columns of B solved together (AMGSolver::
   /// solve_multi), one admission decision and one report for the batch.
+  /// The one request path: submit() is its m = 1 case.
   std::future<RequestReport> submit_multi(CSRMatrix A, MultiVector B,
                                           const RequestOptions& ropts = {});
 
@@ -194,9 +195,7 @@ class SolverService {
     std::uint64_t id = 0;
     std::shared_ptr<const CSRMatrix> A;
     std::uint64_t fingerprint = 0;
-    bool multi = false;
-    Vector b;
-    MultiVector B{0, 1};
+    MultiVector B{0, 1};  ///< n x m; submit() moves its vector in as m = 1
     RequestOptions opts;
     Deadline::Clock::time_point submit_tp{};
     std::promise<RequestReport> promise;
@@ -211,7 +210,10 @@ class SolverService {
   void process(Request& rq);
   /// Runs one solve attempt from a zero initial guess; returns its Status.
   Status run_attempt(Request& rq, AMGSolver& solver);
-  std::shared_ptr<Entry> acquire_entry(const Request& rq);
+  /// Pool lookup by fingerprint. A hit must hold the same operator
+  /// (pointer, then rowptr/colidx/values); a collision returns a fresh
+  /// entry that is not cached.
+  std::shared_ptr<Entry> acquire_entry(Request& rq);
 
   // Breaker transitions (all take pool_mu_).
   /// Admission verdict for the entry's breaker. Returns kOk to proceed

@@ -6,6 +6,8 @@
 // regression.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "gen/stencil.hpp"
 #include "krylov/krylov.hpp"
 #include "support/check.hpp"
+#include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "test_util.hpp"
 
@@ -49,35 +52,37 @@ Vector column_of(const MultiVector& X, Int j) {
 
 // ------------------------------------------------------- multivector ops ---
 
-TEST(MultiVector, ElementwiseOps) {
+TEST(MultiVector, ColumnBlas1) {
   MultiVector X = make_multi(40, 3), Y = make_multi(40, 3, 1.0);
-  const MultiVector X0 = X;
-  std::vector<double> alpha = {2.0, -1.0, 0.0};
-  axpy_columns(alpha, X, Y);  // Y_j += alpha_j X_j
+  const MultiVector Y0 = Y;
+  const std::vector<double> alpha = {2.0, -1.0, 0.0};
+  block::axpy<0>(alpha.data(), X.data.data(), Y.data.data(), 40, 3, nullptr,
+                 nullptr);  // Y_j += alpha_j X_j
   for (Int i = 0; i < 40; ++i)
     for (Int j = 0; j < 3; ++j)
-      EXPECT_DOUBLE_EQ(Y.at(i, j), make_multi(40, 3, 1.0).at(i, j) +
-                                        alpha[j] * X0.at(i, j));
-  scale_columns({0.5, 1.0, 2.0}, X);
+      EXPECT_DOUBLE_EQ(Y.at(i, j), Y0.at(i, j) + alpha[j] * X.at(i, j));
+  // xpby with a live mask: frozen column 1 keeps its values.
+  const std::vector<double> beta = {0.5, 9.0, -2.0};
+  const std::vector<char> live = {1, 0, 1};
+  MultiVector P = Y0;
+  block::xpby<0>(X.data.data(), beta.data(), P.data.data(), 40, 3,
+                 live.data(), nullptr);
   for (Int i = 0; i < 40; ++i) {
-    EXPECT_DOUBLE_EQ(X.at(i, 0), 0.5 * X0.at(i, 0));
-    EXPECT_DOUBLE_EQ(X.at(i, 2), 2.0 * X0.at(i, 2));
+    EXPECT_DOUBLE_EQ(P.at(i, 0), X.at(i, 0) + 0.5 * Y0.at(i, 0));
+    EXPECT_EQ(P.at(i, 1), Y0.at(i, 1));
   }
-  Vector col;
-  gather_column(X0, 1, col);
-  MultiVector Z(40, 3);
-  scatter_column(col, 1, Z);
-  for (Int i = 0; i < 40; ++i) EXPECT_EQ(Z.at(i, 1), X0.at(i, 1));
 
-  const std::vector<double> d = dot_columns(X0, X0);
-  const std::vector<double> n2 = norm2sq_columns(X0);
-  ASSERT_EQ(d.size(), 3u);
+  std::vector<double> d(3);
+  block::dot<0>(X.data.data(), X.data.data(), 40, 3, d.data(), nullptr);
   for (Int j = 0; j < 3; ++j) {
-    const Vector c = column_of(X0, j);
+    const Vector c = column_of(X, j);
     double ref = 0.0;
     for (double v : c) ref += v * v;
     EXPECT_NEAR(d[j], ref, 1e-12 * std::abs(ref));
-    EXPECT_NEAR(n2[j], ref, 1e-12 * std::abs(ref));
+    // The m = 1 instance on the column alone adds the same partials.
+    double d1 = 0.0;
+    block::dot<1>(c.data(), c.data(), 40, 1, &d1, nullptr);
+    EXPECT_EQ(d1, d[j]);
   }
 }
 
@@ -92,11 +97,14 @@ TEST_P(BatchedKernels, SpmvBitwiseMatchesScalarColumns) {
     const MultiVector X = make_multi(A.nrows, m);
     const MultiVector B = make_multi(A.nrows, m, 2.0);
     MultiVector Y(A.nrows, m), R(A.nrows, m), Rf(A.nrows, m);
-    std::vector<double> norms;
-    spmv_multi(A, X, Y);
-    spmv_residual_multi(A, X, B, R);
-    spmv_residual_norms2sq_fused_multi(A, X, B, Rf, norms);
-    ASSERT_EQ(Int(norms.size()), m);
+    std::vector<double> norms(std::size_t(m), 0.0);
+    with_width(m, [&]<int M>() {
+      block::spmv<M>(A, X.data.data(), Y.data.data(), m, nullptr);
+      block::spmv_residual<M>(A, X.data.data(), B.data.data(), R.data.data(),
+                              m, nullptr);
+      block::spmv_residual_norms<M>(A, X.data.data(), B.data.data(),
+                                    Rf.data.data(), m, norms.data(), nullptr);
+    });
     for (Int j = 0; j < m; ++j) {
       const Vector xj = column_of(X, j), bj = column_of(B, j);
       Vector yj(A.nrows), rj(A.nrows), rfj(A.nrows);
@@ -108,9 +116,8 @@ TEST_P(BatchedKernels, SpmvBitwiseMatchesScalarColumns) {
         ASSERT_EQ(R.at(i, j), rj[i]);
         ASSERT_EQ(Rf.at(i, j), rfj[i]);
       }
-      // The norm reduction merges thread partials, so only the value (not
-      // the bits) is pinned.
-      EXPECT_NEAR(norms[j], n2, 1e-12 * std::max(1.0, n2));
+      // Thread partials are added in thread-index order in both widths.
+      EXPECT_EQ(norms[j], n2);
     }
   }
 }
@@ -124,8 +131,12 @@ TEST_P(BatchedKernels, InterpRestrictBitwiseMatchesScalarColumns) {
   const MultiVector Rfine = make_multi(n, m, 3.0);
   MultiVector X = make_multi(n, m, 1.0), Rc(nc, m);
   MultiVector X_ref = X;
-  interp_add_identity_block_multi(Pf, E, X, nc);
-  restrict_identity_block_multi(PfT, Rfine, Rc, nc);
+  with_width(m, [&]<int M>() {
+    block::interp_add_identity<M>(Pf, E.data.data(), X.data.data(), nc, m,
+                                  nullptr);
+    block::restrict_identity<M>(PfT, Rfine.data.data(), Rc.data.data(), nc,
+                                m, nullptr);
+  });
   for (Int j = 0; j < m; ++j) {
     Vector xj = column_of(X_ref, j), rcj(nc);
     interp_add_identity_block(Pf, column_of(E, j), xj, nc);
@@ -144,10 +155,12 @@ TEST_P(BatchedKernels, SmoothersBitwiseMatchScalarColumns) {
     HybridGSOptimized gs(As, 4);
     MultiVector B = make_multi(As.nrows, m);
     MultiVector X = make_multi(As.nrows, m, 1.0);
-    MultiVector T(As.nrows, m), Xj(As.nrows, m);
     // Jacobi.
     MultiVector Xjac = X, Tjac(As.nrows, m);
-    jacobi_sweep_multi(As, B, Xjac, Tjac);
+    with_width(m, [&]<int M>() {
+      block::jacobi_sweep<M>(As, B.data.data(), Xjac.data.data(),
+                             Tjac.data.data(), m, 2.0 / 3.0, 0, -1, nullptr);
+    });
     for (Int j = 0; j < m; ++j) {
       Vector xj = column_of(X, j), tj(As.nrows);
       jacobi_sweep(As, column_of(B, j), xj, tj);
@@ -156,7 +169,10 @@ TEST_P(BatchedKernels, SmoothersBitwiseMatchScalarColumns) {
     // Hybrid GS forward, backward, and zero-init.
     for (const bool forward : {true, false}) {
       MultiVector Xgs = X, Tgs(As.nrows, m);
-      gs.sweep_multi(B, Xgs, Tgs, 0, As.nrows, forward);
+      with_width(m, [&]<int M>() {
+        gs.sweep_block<M>(B.data.data(), Xgs.data.data(), Tgs.data.data(), m,
+                          0, As.nrows, forward, false, nullptr);
+      });
       for (Int j = 0; j < m; ++j) {
         Vector xj = column_of(X, j), tj(As.nrows);
         gs.sweep(column_of(B, j), xj, tj, 0, As.nrows, forward);
@@ -164,7 +180,10 @@ TEST_P(BatchedKernels, SmoothersBitwiseMatchScalarColumns) {
       }
     }
     MultiVector Xz(As.nrows, m), Tz(As.nrows, m);
-    gs.sweep_multi(B, Xz, Tz, 0, As.nrows, true, /*zero_init=*/true);
+    with_width(m, [&]<int M>() {
+      gs.sweep_block<M>(B.data.data(), Xz.data.data(), Tz.data.data(), m, 0,
+                        As.nrows, true, /*zero_init=*/true, nullptr);
+    });
     for (Int j = 0; j < m; ++j) {
       Vector xj(As.nrows, 0.0), tj(As.nrows);
       gs.sweep(column_of(B, j), xj, tj, 0, As.nrows, true, true);
@@ -185,6 +204,12 @@ TEST_P(BatchedKernels, VcycleBitwiseMatchesScalarColumns) {
       const MultiVector B = make_multi(A.nrows, m);
       MultiVector X(A.nrows, m);
       vcycle_multi(h, B, X);
+      // The single-column references run on one thread: a V-cycle has no
+      // reductions and the hybrid-GS partitions are pinned, so its result
+      // does not depend on the thread count (and m serial cycles stay cheap
+      // on a loaded host).
+      const int saved = omp_get_max_threads();
+      omp_set_num_threads(1);
       for (Int j = 0; j < m; ++j) {
         Vector xj(A.nrows, 0.0);
         vcycle(h, column_of(B, j), xj);
@@ -192,26 +217,42 @@ TEST_P(BatchedKernels, VcycleBitwiseMatchesScalarColumns) {
           ASSERT_EQ(X.at(i, j), xj[i])
               << "variant " << int(v) << " col " << j << " row " << i;
       }
+      omp_set_num_threads(saved);
     }
   }
 }
 
+// 33 > kMaxRhsBlock: the column-block split is checked against m = 1 too.
 INSTANTIATE_TEST_SUITE_P(Widths, BatchedKernels,
-                         ::testing::Values<Int>(1, 3, 8));
+                         ::testing::Values<Int>(1, 3, 8, 33));
 
 TEST(MultiWorkspace, SizedPerLevelAndIdempotent) {
   CSRMatrix A = lap3d_27pt(6, 6, 6);
   Hierarchy h = build_hierarchy(A, AMGOptions{});
-  ensure_multi_workspace(h, 5);
-  ASSERT_EQ(h.multi_ws.m, 5);
-  ASSERT_EQ(h.multi_ws.b.size(), h.levels.size());
-  for (std::size_t l = 0; l < h.levels.size(); ++l) {
-    EXPECT_EQ(h.multi_ws.b[l].n, h.levels[l].n);
-    EXPECT_EQ(h.multi_ws.b[l].m, 5);
+  // Setup sizes the one per-level workspace for a single column.
+  for (const Level& L : h.levels) {
+    EXPECT_EQ(Int(L.b.size()), L.n);
+    EXPECT_EQ(Int(L.rc_pre.size()), std::max<Int>(L.nc, 1));
   }
-  const double* before = h.multi_ws.b[0].data.data();
-  ensure_multi_workspace(h, 5);  // no-op: no reallocation
-  EXPECT_EQ(h.multi_ws.b[0].data.data(), before);
+  ensure_multi_workspace(h, 5);
+  for (const Level& L : h.levels) {
+    for (const Vector* v : {&L.b, &L.x, &L.temp, &L.r})
+      EXPECT_EQ(Int(v->size()), 5 * L.n);
+    EXPECT_EQ(Int(L.rc_pre.size()), 5 * std::max<Int>(L.nc, 1));
+  }
+  // Grown to the widest m seen: the same or a narrower width reallocates
+  // nothing, and a single-column cycle runs on the wide workspace.
+  const double* before = h.levels[0].b.data();
+  ensure_multi_workspace(h, 5);
+  ensure_multi_workspace(h, 2);
+  EXPECT_EQ(h.levels[0].b.data(), before);
+  EXPECT_EQ(Int(h.levels[0].b.size()), 5 * h.levels[0].n);
+  const Vector b(A.nrows, 1.0);
+  Vector x(A.nrows, 0.0), x_fresh(A.nrows, 0.0);
+  vcycle(h, b, x);
+  Hierarchy fresh = build_hierarchy(A, AMGOptions{});
+  vcycle(fresh, b, x_fresh);
+  for (Int i = 0; i < A.nrows; ++i) ASSERT_EQ(x[i], x_fresh[i]);
 }
 
 // ------------------------------------------------------- solve_multi -------
@@ -227,7 +268,7 @@ TEST(SolveMulti, ColumnsBitwiseEqualSingleColumnSolves) {
   EXPECT_EQ(sr.iterations, 5);
   for (Int j = 0; j < m; ++j) {
     MultiVector Bj(A.nrows, 1), Xj(A.nrows, 1);
-    scatter_column(column_of(B, j), 0, Bj);
+    Bj.data = column_of(B, j);
     const MultiSolveResult s1 = amg.solve_multi(Bj, Xj, 1e-30, 5);
     EXPECT_EQ(s1.iterations, 5);
     for (Int i = 0; i < A.nrows; ++i) ASSERT_EQ(X.at(i, j), Xj.at(i, 0));
@@ -249,6 +290,61 @@ TEST(SolveMulti, ConvergesEveryColumn) {
     EXPECT_LE(test::relative_residual(A, column_of(X, j), column_of(B, j)),
               1e-7);
   }
+}
+
+TEST(SolveMulti, PoisonedBatchRecoversLikeScalarSolve) {
+  // The batched solve shares the scalar solve's scrub-and-restart loop: a
+  // one-off NaN in the iterate is absorbed by restoring the last good
+  // snapshot, judged on the worst column.
+  CSRMatrix A = lap3d_27pt(8, 8, 8);
+  AMGSolver amg(A, AMGOptions{});
+  const Int m = 3;
+  const MultiVector B = make_multi(A.nrows, m);
+  MultiVector X(A.nrows, m);
+  fault::reset();
+  fault::Schedule once;
+  once.after_n = 2;
+  once.count = 1;
+  fault::arm("amg.solve.poison", once);
+  const MultiSolveResult sr = amg.solve_multi(B, X, 1e-8, 100);
+  fault::reset();
+  EXPECT_EQ(sr.status, Status::kRecovered) << status_name(sr.status);
+  EXPECT_TRUE(sr.converged);
+  EXPECT_EQ(sr.recoveries, 1);
+  EXPECT_GE(sr.nonfinite_iteration, 1);
+  for (Int j = 0; j < m; ++j)
+    EXPECT_LE(test::relative_residual(A, column_of(X, j), column_of(B, j)),
+              1e-7);
+}
+
+TEST(SolveMulti, DeterministicAcrossRunsAtFourThreads) {
+  // Column reductions add the thread partials in thread-index order, so the
+  // same batched solve is bitwise-repeatable whatever the scheduling.
+  CSRMatrix A = lap3d_27pt(8, 8, 8);
+  AMGSolver amg(A, AMGOptions{});
+  const Int m = 4;
+  const MultiVector B = make_multi(A.nrows, m);
+  const int saved = omp_get_max_threads();
+#if !defined(__SANITIZE_THREAD__)
+  // TSan runs keep OpenMP teams serialized: libgomp's fork-join edges are
+  // invisible to it (tsan.supp).
+  omp_set_num_threads(4);
+#endif
+  MultiSolveResult first;
+  for (int run = 0; run < 10; ++run) {
+    MultiVector X(A.nrows, m);
+    const MultiSolveResult sr = amg.solve_multi(B, X, 1e-8, 100);
+    ASSERT_TRUE(sr.converged);
+    if (run == 0) {
+      first = sr;
+      continue;
+    }
+    EXPECT_EQ(sr.iterations, first.iterations);
+    ASSERT_EQ(sr.final_relres.size(), first.final_relres.size());
+    for (Int j = 0; j < m; ++j)
+      EXPECT_EQ(sr.final_relres[j], first.final_relres[j]) << "run " << run;
+  }
+  omp_set_num_threads(saved);
 }
 
 // ------------------------------------------------------- block Krylov ------
@@ -343,9 +439,11 @@ TEST(Aliasing, FusedKernelsRejectOutAliasingX) {
   Vector x2(A.nrows, 0.5);
   EXPECT_NO_THROW(spmv_residual(A, x2, r, r));
   MultiVector X = make_multi(A.nrows, 2), Bm = make_multi(A.nrows, 2, 1.0);
-  std::vector<double> norms;
-  EXPECT_THROW(spmv_multi(A, X, X), SolverError);
-  EXPECT_THROW(spmv_residual_norms2sq_fused_multi(A, X, Bm, X, norms),
+  std::vector<double> norms(2);
+  double* xp = X.data.data();
+  EXPECT_THROW(block::spmv<0>(A, xp, xp, 2, nullptr), SolverError);
+  EXPECT_THROW(block::spmv_residual_norms<0>(A, xp, Bm.data.data(), xp, 2,
+                                             norms.data(), nullptr),
                SolverError);
 }
 
@@ -383,7 +481,7 @@ TEST(HaloMulti, ExchangeMatchesScalarPerColumn) {
   });
 }
 
-TEST(HaloMulti, DistSpmvMultiMatchesScalar) {
+TEST(HaloMulti, DistSpmvBlockMatchesScalar) {
   CSRMatrix A = lap3d_27pt(5, 5, 5);
   simmpi::run(3, [&](simmpi::Comm& c) {
     DistMatrix dA = distribute_csr(c, A);
@@ -394,7 +492,7 @@ TEST(HaloMulti, DistSpmvMultiMatchesScalar) {
       for (Int j = 0; j < m; ++j)
         X.at(i, j) = std::sin(double(dA.first_row() + i) + double(j));
     MultiVector X_ext, Y;
-    dist_spmv_multi(c, dA, halo, X, X_ext, Y);
+    dist_spmv(c, dA, halo, X, X_ext, Y);
     for (Int j = 0; j < m; ++j) {
       Vector xj(n), x_ext, yj;
       for (Int i = 0; i < n; ++i) xj[i] = X.at(i, j);

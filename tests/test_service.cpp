@@ -19,6 +19,7 @@
 #include "service/service.hpp"
 #include "support/deadline.hpp"
 #include "support/fault.hpp"
+#include "test_util.hpp"
 
 namespace hpamg {
 namespace {
@@ -356,6 +357,65 @@ TEST_F(ServiceTest, LruEvictionKeepsPoolBounded) {
   const auto st = svc.stats();
   EXPECT_EQ(st.evictions, 1u);
   EXPECT_EQ(st.setup_builds, 2u);
+}
+
+TEST_F(ServiceTest, ForcedFingerprintCollisionSolvesEachOwnOperator) {
+  // Both operators map to one pool key; a hit must still be the same
+  // operator, so the second is solved against its own A, uncached.
+  SolverService svc(quick_opts());
+  fault::arm("service.fingerprint.collide", {});
+  const CSRMatrix A1 = lap2d_5pt(12, 12);
+  CSRMatrix A2 = A1;
+  for (double& v : A2.values) v *= 3.0;  // same pattern, other values
+  Vector b = ones(A1.nrows);
+  for (Int i = 0; i < A1.nrows; ++i) b[std::size_t(i)] += 0.01 * double(i);
+  RequestOptions ro;
+  ro.rtol = 1e-9;
+  const RequestReport r1 = svc.submit(A1, b, ro).get();
+  const RequestReport r2 = svc.submit(A2, b, ro).get();
+  const RequestReport r1_again = svc.submit(A1, b, ro).get();
+  ASSERT_EQ(r1.status, Status::kOk);
+  ASSERT_EQ(r2.status, Status::kOk);
+  ASSERT_EQ(r1_again.status, Status::kOk);
+  EXPECT_EQ(r1.fingerprint, r2.fingerprint);
+  EXPECT_LT(test::relative_residual(A1, r1.x, b), 1e-8);
+  EXPECT_LT(test::relative_residual(A2, r2.x, b), 1e-8);
+  EXPECT_LT(test::relative_residual(A1, r1_again.x, b), 1e-8);
+  // The collision is a miss that is not cached; the pooled A1 still hits.
+  EXPECT_FALSE(r2.cache_hit);
+  EXPECT_TRUE(has_event_containing(r2, "collides"));
+  EXPECT_TRUE(r1_again.cache_hit);
+  EXPECT_EQ(svc.cached_hierarchies(), 1u);
+  EXPECT_EQ(svc.stats().setup_builds, 2u);
+}
+
+TEST_F(ServiceTest, BackoffDoesNotHoldTheOperatorLock) {
+  // The first request's setup fails once (transient) and it backs off for
+  // 2 s. A second request for the same operator, submitted during that
+  // backoff, must not wait it out.
+  ServiceOptions o = quick_opts(/*workers=*/2);
+  o.backoff_initial_s = 2.0;
+  o.backoff_max_s = 2.0;
+  SolverService svc(o);
+  fault::Schedule once;
+  once.count = 1;
+  fault::arm("service.setup.alloc", once);
+  const CSRMatrix A = lap2d_5pt(12, 12);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto first = svc.submit(A, ones(A.nrows));
+  while (svc.stats().retries == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const RequestReport second = svc.submit(A, ones(A.nrows)).get();
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_EQ(second.status, Status::kOk);
+  EXPECT_LT(waited, 1.5) << "second request waited out the backoff";
+  EXPECT_EQ(first.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  const RequestReport r1 = first.get();
+  EXPECT_EQ(r1.status, Status::kOk);
+  EXPECT_EQ(r1.attempts, 2);
 }
 
 TEST_F(ServiceTest, MultiRhsRequestSolvesAllColumns) {
