@@ -1,20 +1,14 @@
 #include "amg/solver.hpp"
 
-#include <cmath>
-
-#include <string>
-
+#include "amg/solve_loop.hpp"
 #include "amg/spmv.hpp"
 #include "amg/telemetry.hpp"
 #include "matrix/transpose.hpp"
 #include "perfmodel/attrib.hpp"
 #include "spgemm/rap.hpp"
 #include "support/check.hpp"
-#include "support/fault.hpp"
 #include "support/live.hpp"
-#include "support/log.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/trace.hpp"
 
 namespace hpamg {
@@ -28,10 +22,57 @@ const CSRMatrix& validated(const CSRMatrix& A) {
   return A;
 }
 
-/// The one standalone-AMG loop, on n x m row-major blocks (M as in
-/// with_width): solve() is its m = 1 instance. Fills `res` with the worst
-/// column's history/status, and the per-column relres and first converged
-/// cycle.
+/// The shared-memory instance of detail::amg_loop's ops: the hierarchy's
+/// block V-cycle, with the fused residual + norm (§3.3) on the optimized
+/// variant.
+template <int M>
+struct SerialAmgOps {
+  using Timer = hpamg::Timer;
+  static constexpr const char* kPoisonSite = "amg.solve.poison";
+
+  SerialAmgOps(Hierarchy& hh, Int cols, WorkCounters* w)
+      : h(hh), n(hh.levels[0].n), m(cols), wc(w),
+        loan(hh, metrics::enabled() ? &tel : nullptr) {
+    tel.measure_smoother = true;
+  }
+
+  Hierarchy& h;
+  const Int n, m;
+  WorkCounters* wc;
+  CycleTelemetryHook tel;
+  TelemetryLoan<Hierarchy> loan;
+
+  bool logs() const { return true; }
+  CycleTelemetryHook* telemetry() { return h.telemetry; }
+  std::size_t num_levels() const { return h.levels.size(); }
+  void dot(const double* a, const double* b, double* out) {
+    block::dot<M>(a, b, n, m, out, wc);
+  }
+  void residual_norms(const Vector& x, const Vector& b, Vector& r,
+                      double* norms2, PhaseTimes& pt) {
+    const CSRMatrix& A = h.levels[0].A;
+    Timer t;
+    if (h.opts.variant == Variant::kOptimized) {
+      // Fused residual + norm (§3.3): one pass instead of SpMV then dot.
+      block::spmv_residual_norms<M>(A, x.data(), b.data(), r.data(), m,
+                                    norms2, wc);
+      pt.add("SpMV", t.seconds());
+      return;
+    }
+    block::spmv_residual<M>(A, x.data(), b.data(), r.data(), m, wc);
+    pt.add("SpMV", t.seconds());
+    Timer t2;
+    dot(r.data(), r.data(), norms2);
+    pt.add("BLAS1", t2.seconds());
+  }
+  void cycle(const Vector& b, Vector& x, PhaseTimes& pt) {
+    vcycle_block<M>(h, b.data(), x.data(), m, /*work_order=*/true, &pt, wc);
+  }
+};
+
+/// Standalone AMG on n x m row-major blocks (M as in with_width): solve()
+/// is its m = 1 instance. Runs detail::amg_loop on working vectors kept in
+/// the hierarchy's permuted order for the whole solve.
 template <int M>
 void solve_loop(Hierarchy& h, const double* b, double* x, Int m, double rtol,
                 Int max_iterations, const Deadline& deadline, SolveResult& res,
@@ -46,15 +87,13 @@ void solve_loop(Hierarchy& h, const double* b, double* x, Int m, double rtol,
   HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
                         check::csr_well_formed(L0.A, "AMGSolver::solve A0"));
   HPAMG_CHECK_INVARIANT(check::Depth::kFull, check_hierarchy(h));
-  const Int n = L0.n, mm = M ? M : m;
-  const std::size_t len = std::size_t(n) * std::size_t(mm);
-  const bool optimized = h.opts.variant == Variant::kOptimized;
-  const bool permuted = optimized && !L0.perm.perm.empty();
+  const std::size_t len = std::size_t(L0.n) * std::size_t(M ? M : m);
+  const bool permuted =
+      h.opts.variant == Variant::kOptimized && !L0.perm.perm.empty();
   PhaseTimes& pt = res.solve_times;
-  WorkCounters* wc = &res.solve_work;
 
   // Keep working vectors permuted across the whole solve; gather once.
-  Vector bw(len), xw(len), r(len);
+  Vector bw(len), xw(len);
   {
     Timer t;
     if (permuted) {
@@ -67,142 +106,9 @@ void solve_loop(Hierarchy& h, const double* b, double* x, Int m, double rtol,
     pt.add("Solve_etc", t.seconds());
   }
 
-  std::vector<double> normb(std::size_t(mm), 0.0), norms(std::size_t(mm), 0.0);
-  {
-    Timer t;
-    block::dot<M>(bw.data(), bw.data(), n, m, normb.data(), wc);
-    pt.add("BLAS1", t.seconds());
-  }
-  for (double& nb : normb) nb = nb > 0.0 ? std::sqrt(nb) : 1.0;
-
-  relres.assign(std::size_t(mm), 0.0);
-  col_iterations.assign(std::size_t(mm), -1);
-  // Residual of every column; returns the worst relative residual.
-  auto residual = [&](Int it) {
-    Timer t;
-    if (optimized) {
-      // Fused residual + norm (§3.3): one pass instead of SpMV then dot.
-      block::spmv_residual_norms<M>(L0.A, xw.data(), bw.data(), r.data(), m,
-                                    norms.data(), wc);
-      pt.add("SpMV", t.seconds());
-    } else {
-      block::spmv_residual<M>(L0.A, xw.data(), bw.data(), r.data(), m, wc);
-      pt.add("SpMV", t.seconds());
-      Timer t2;
-      block::dot<M>(r.data(), r.data(), n, m, norms.data(), wc);
-      pt.add("BLAS1", t2.seconds());
-    }
-    for (Int j = 0; j < mm; ++j) {
-      relres[std::size_t(j)] =
-          std::sqrt(norms[std::size_t(j)]) / normb[std::size_t(j)];
-      if (relres[std::size_t(j)] < rtol && col_iterations[std::size_t(j)] < 0)
-        col_iterations[std::size_t(j)] = it;
-    }
-    return worst_column(relres);
-  };
-
-  // Initial residual (x may be a nonzero initial guess).
-  double worst = residual(0);
-  if (worst < rtol) {
-    res.converged = true;
-    res.status = Status::kOk;
-    res.final_relres = worst;
-    return;
-  }
-
-  // Last good iterate for scrub-and-restart recovery: refreshed on every
-  // improving iteration (a plain copy — cheap next to a V-cycle and not
-  // counted as solve work). `x_best_relres` mirrors the snapshot.
-  ConvergenceMonitor monitor;
-  Vector x_best(xw);
-  double x_best_relres = worst;
-  Int x_best_iteration = 0;
-
-  // Per-iteration telemetry rides along only when the metrics registry is
-  // on (--json bench runs); the hook is loaned to the hierarchy so the
-  // cycle can deposit per-level times without a signature change. With
-  // m > 1 the pre-smooth residual is the worst column over the smallest
-  // ||b_j||, an upper bound.
-  const bool telemetry_on = metrics::enabled();
-  CycleTelemetryHook tel;
-  tel.measure_smoother = telemetry_on;
-  TelemetryLoan loan(h, telemetry_on ? &tel : nullptr);
-  const double tel_normb = *std::min_element(normb.begin(), normb.end());
-  double prev_relres = worst;
-  Timer t_iter;
-
-  for (Int it = 1; it <= max_iterations; ++it) {
-    // Deadline check once per V-cycle, at the same cadence as the
-    // heartbeat beat site below: an expired budget unwinds cleanly with
-    // the partial history/iterate instead of running to max_iterations.
-    if (deadline.expired()) {
-      res.status = Status::kDeadlineExceeded;
-      res.events.push_back(
-          "deadline expired before iteration " + std::to_string(it) +
-          " (partial result: relres " + std::to_string(worst) + " after " +
-          std::to_string(res.iterations) + " iterations)");
-      break;
-    }
-    if (fault::enabled())
-      fault::maybe_poison("amg.solve.poison", xw.data(), xw.size());
-    if (telemetry_on) {
-      tel.begin_cycle(h.levels.size());
-      t_iter.reset();
-    }
-    vcycle_block<M>(h, bw.data(), xw.data(), m, /*work_order=*/true, &pt, wc);
-    worst = residual(it);
-    res.history.push_back(worst);
-    res.iterations = it;
-    live::beat_iteration(it, worst);
-    if (telemetry_on) {
-      res.telemetry.push_back(make_iteration_entry(
-          it, worst, prev_relres, t_iter.seconds(), tel_normb, &tel));
-    }
-    prev_relres = worst;
-    HPAMG_LOG_DEBUG("amg it %d relres %.3e", int(it), worst);
-    if (worst < rtol) {
-      res.converged = true;
-      res.status = res.recoveries > 0 ? Status::kRecovered : Status::kOk;
-      break;
-    }
-    const Status verdict = monitor.observe(it, worst);
-    if (verdict == Status::kOk) {
-      if (worst < x_best_relres) {
-        copy_n(xw.data(), x_best.data(), len);
-        x_best_relres = worst;
-        x_best_iteration = it;
-      }
-      continue;
-    }
-    // Non-finite or diverging residual: scrub the iterate (restore the
-    // last good snapshot) and resume, up to the recovery budget. Transient
-    // corruption is absorbed; a persistent failure exhausts the budget and
-    // surfaces as the terminal status.
-    if (verdict == Status::kNonFinite && res.nonfinite_iteration < 0)
-      res.nonfinite_iteration = it;
-    if (res.recoveries < AMGSolver::kMaxRecoveries) {
-      ++res.recoveries;
-      copy_n(x_best.data(), xw.data(), len);
-      worst = x_best_relres;
-      monitor.note_recovery();
-      std::string ev = "recovered at iteration " + std::to_string(it) + " (" +
-                       status_name(verdict) + "): restored iterate from " +
-                       "iteration " + std::to_string(x_best_iteration);
-      HPAMG_LOG_WARN("amg %s", ev.c_str());
-      trace::instant("amg.recovery", "fault");
-      res.events.push_back(std::move(ev));
-      continue;
-    }
-    res.status = verdict;
-    res.events.push_back(std::string("recovery budget exhausted; stopped (") +
-                         status_name(verdict) + ") at iteration " +
-                         std::to_string(it));
-    break;
-  }
-  if (!res.converged && res.status == Status::kMaxIterations &&
-      monitor.stagnated())
-    res.status = Status::kStagnated;
-  res.final_relres = worst;
+  SerialAmgOps<M> ops(h, m, &res.solve_work);
+  detail::amg_loop<M>(ops, bw, xw, rtol, max_iterations, deadline, res,
+                      relres, col_iterations);
 
   Timer t;
   if (permuted)
@@ -254,17 +160,30 @@ MultiSolveResult AMGSolver::solve_multi(const MultiVector& B, MultiVector& X,
 }
 
 SolveReport AMGSolver::report(const SolveResult* sr) const {
+  SolveReport rep = setup_report(
+      "amg", h_.opts.variant, h_.operator_complexity(), h_.grid_complexity(),
+      h_.stats, h_.memory_by_level(), h_.setup_times, h_.setup_work,
+      h_.events);
+  if (sr) fill_solve_report(rep, *sr);
+  return rep;
+}
+
+SolveReport setup_report(const char* solver, Variant variant,
+                         double operator_complexity, double grid_complexity,
+                         const std::vector<LevelStats>& stats,
+                         const std::vector<LevelMemory>& mem,
+                         const PhaseTimes& setup_times,
+                         const WorkCounters& setup_work,
+                         const std::vector<std::string>& events) {
   SolveReport rep;
-  rep.solver = "amg";
-  rep.variant =
-      h_.opts.variant == Variant::kOptimized ? "optimized" : "baseline";
-  rep.num_levels = h_.num_levels();
-  rep.operator_complexity = h_.operator_complexity();
-  rep.grid_complexity = h_.grid_complexity();
-  rep.levels.reserve(h_.stats.size());
-  const std::vector<LevelMemory> mem = h_.memory_by_level();
-  for (std::size_t l = 0; l < h_.stats.size(); ++l) {
-    const LevelStats& s = h_.stats[l];
+  rep.solver = solver;
+  rep.variant = variant == Variant::kOptimized ? "optimized" : "baseline";
+  rep.num_levels = Int(mem.size());
+  rep.operator_complexity = operator_complexity;
+  rep.grid_complexity = grid_complexity;
+  rep.levels.reserve(stats.size());
+  for (std::size_t l = 0; l < stats.size(); ++l) {
+    const LevelStats& s = stats[l];
     LevelReportEntry e;
     e.level = Int(l);
     e.rows = Long(s.rows);
@@ -288,31 +207,32 @@ SolveReport AMGSolver::report(const SolveResult* sr) const {
   }
   rep.memory.solve_bytes += rep.memory.setup_bytes;
   rep.memory.peak_rss_bytes = metrics::peak_rss_bytes();
-  rep.setup_phases = h_.setup_times;
-  rep.setup_work = h_.setup_work;
-  rep.setup_seconds = h_.setup_times.total();
-  rep.status.events = h_.events;  // setup incidents first, then solve's
+  rep.setup_phases = setup_times;
+  rep.setup_work = setup_work;
+  rep.setup_seconds = setup_times.total();
+  rep.status.events = events;  // setup incidents first, then solve's
   // Roofline attribution accumulated by the cycle's attrib scopes; empty
   // (and omitted from the JSON) unless metrics were on during the solve.
   rep.roofline = attrib::snapshot();
   attrib::publish_metrics(rep.roofline);
-  if (sr) {
-    rep.iterations = sr->telemetry;
-    rep.solve_phases = sr->solve_times;
-    rep.solve_work = sr->solve_work;
-    rep.solve_seconds = sr->solve_times.total();
-    rep.convergence.iterations = sr->iterations;
-    rep.convergence.converged = sr->converged;
-    rep.convergence.final_relres = sr->final_relres;
-    rep.convergence.convergence_factor = sr->convergence_factor();
-    rep.convergence.residual_history = sr->history;
-    rep.status.status = status_name(sr->status);
-    rep.status.nonfinite_iteration = sr->nonfinite_iteration;
-    rep.status.recoveries = sr->recoveries;
-    rep.status.events.insert(rep.status.events.end(), sr->events.begin(),
-                             sr->events.end());
-  }
   return rep;
+}
+
+void fill_solve_report(SolveReport& rep, const SolveResult& sr) {
+  rep.iterations = sr.telemetry;
+  rep.solve_phases = sr.solve_times;
+  rep.solve_work = sr.solve_work;
+  rep.solve_seconds = sr.solve_times.total();
+  rep.convergence.iterations = sr.iterations;
+  rep.convergence.converged = sr.converged;
+  rep.convergence.final_relres = sr.final_relres;
+  rep.convergence.convergence_factor = sr.convergence_factor();
+  rep.convergence.residual_history = sr.history;
+  rep.status.status = status_name(sr.status);
+  rep.status.nonfinite_iteration = sr.nonfinite_iteration;
+  rep.status.recoveries = sr.recoveries;
+  rep.status.events.insert(rep.status.events.end(), sr.events.begin(),
+                           sr.events.end());
 }
 
 void AMGSolver::precondition(const Vector& b, Vector& x, PhaseTimes* pt,

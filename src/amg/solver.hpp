@@ -71,6 +71,25 @@ struct MultiSolveResult {
   WorkCounters solve_work;
 };
 
+// The two halves of a SolveReport, shared by AMGSolver::report and
+// DistHierarchy::report.
+
+/// The setup side: hierarchy shape, per-level stats with their memory
+/// (`mem`, indexed like `stats`), setup phases/work and incidents, and the
+/// roofline attribution accumulated so far.
+SolveReport setup_report(const char* solver, Variant variant,
+                         double operator_complexity, double grid_complexity,
+                         const std::vector<LevelStats>& stats,
+                         const std::vector<LevelMemory>& mem,
+                         const PhaseTimes& setup_times,
+                         const WorkCounters& setup_work,
+                         const std::vector<std::string>& events);
+
+/// The solve side (phases, work, convergence, status, per-iteration
+/// telemetry) from `sr`; setup incidents already in rep.status.events stay
+/// first.
+void fill_solve_report(SolveReport& rep, const SolveResult& sr);
+
 class AMGSolver {
  public:
   /// Validates A (square, finite values, nonzero diagonals — throws
@@ -93,9 +112,8 @@ class AMGSolver {
                     Int max_iterations = 500,
                     const Deadline& deadline = Deadline::never());
 
-  /// Recovery budget per solve: after this many scrub-and-restart attempts
-  /// the solve stops with the failure status instead of retrying.
-  static constexpr Int kMaxRecoveries = 3;
+  /// Recovery budget per solve (support/error.hpp).
+  static constexpr Int kMaxRecoveries = hpamg::kMaxRecoveries;
 
   /// Batched standalone AMG: V-cycles on all columns of B simultaneously
   /// until every column satisfies ||b_j - A x_j|| / ||b_j|| < rtol. One

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "amg/solver.hpp"
 #include "amg/telemetry.hpp"
-#include "dist/dist_krylov.hpp"
 #include "dist/dist_transpose.hpp"
 #include "matrix/vector_ops.hpp"
 #include "perfmodel/attrib.hpp"
@@ -37,78 +37,30 @@ double DistHierarchy::grid_complexity() const {
   return total / double(stats[0].rows);
 }
 
-SolveReport DistHierarchy::report(const DistSolveResult* sr) const {
-  SolveReport rep;
-  rep.solver = "fgmres+amg";
-  rep.variant =
-      opts.variant == Variant::kOptimized ? "optimized" : "baseline";
-  rep.num_levels = Int(levels.size());
-  rep.operator_complexity = operator_complexity();
-  rep.grid_complexity = grid_complexity();
-  rep.levels.reserve(stats.size());
-  for (std::size_t l = 0; l < stats.size(); ++l) {
-    const LevelStats& s = stats[l];
-    LevelReportEntry e;
-    e.level = Int(l);
-    e.rows = Long(s.rows);
-    e.nnz = s.nnz;
-    e.nnz_per_row = s.rows > 0 ? double(s.nnz) / double(s.rows) : 0.0;
-    e.coarse = Long(s.coarse);
-    e.interp_nnz = s.interp_nnz;
-    // This rank's local footprints (global stats above, local bytes here —
-    // the per-rank memory is what Table 2's per-node numbers mean).
-    if (l < levels.size()) {
-      const DistLevel& L = levels[l];
-      e.operator_bytes = L.A.footprint_bytes();
-      e.interp_bytes = L.P.footprint_bytes() +
-                       (L.has_R ? L.R.footprint_bytes() : 0);
-      e.smoother_bytes =
-          L.inv_diag.size() * sizeof(double) +
-          (L.c_rows.size() + L.f_rows.size()) * sizeof(Int) +
-          L.cf.size() * sizeof(signed char);
-      if (l + 1 == levels.size()) e.smoother_bytes += coarse_lu.footprint_bytes();
-      e.workspace_bytes =
-          (L.b.size() + L.x.size() + L.r.size() + L.x_ext.size() +
-           L.temp.size()) * sizeof(double);
-    }
-    rep.levels.push_back(e);
+SolveReport DistHierarchy::report(const SolveResult* sr) const {
+  // This rank's local footprints (global stats, local bytes — the per-rank
+  // memory is what Table 2's per-node numbers mean).
+  std::vector<LevelMemory> mem(levels.size());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const DistLevel& L = levels[l];
+    LevelMemory& m = mem[l];
+    m.operator_bytes = L.A.footprint_bytes();
+    m.interp_bytes =
+        L.P.footprint_bytes() + (L.has_R ? L.R.footprint_bytes() : 0);
+    m.smoother_bytes = L.inv_diag.size() * sizeof(double) +
+                       (L.c_rows.size() + L.f_rows.size()) * sizeof(Int) +
+                       L.cf.size() * sizeof(signed char);
+    if (l + 1 == levels.size()) m.smoother_bytes += coarse_lu.footprint_bytes();
+    m.workspace_bytes = (L.b.size() + L.x.size() + L.r.size() +
+                         L.x_ext.size() + L.temp.size()) * sizeof(double);
   }
-  rep.has_memory = true;
-  for (const LevelReportEntry& e : rep.levels) {
-    rep.memory.setup_bytes +=
-        e.operator_bytes + e.interp_bytes + e.smoother_bytes;
-    rep.memory.solve_bytes += e.workspace_bytes;
-  }
-  rep.memory.solve_bytes += rep.memory.setup_bytes;
-  rep.memory.peak_rss_bytes = metrics::peak_rss_bytes();
-  rep.setup_phases = setup_times;
-  rep.setup_work = setup_work;
-  rep.setup_seconds = setup_times.total();
+  SolveReport rep =
+      setup_report("fgmres+amg", opts.variant, operator_complexity(),
+                   grid_complexity(), stats, mem, setup_times, setup_work,
+                   events);
   rep.has_comm = true;
   rep.setup_comm = setup_comm;
-  rep.status.events = events;  // setup incidents first, then solve's
-  // Roofline attribution accumulated by the dist cycle's attrib scopes
-  // (empty, and omitted from the JSON, unless metrics were on).
-  rep.roofline = attrib::snapshot();
-  attrib::publish_metrics(rep.roofline);
-  if (sr) {
-    rep.iterations = sr->telemetry;
-    rep.solve_phases = sr->solve_times;
-    rep.solve_seconds = sr->solve_times.total();
-    rep.convergence.iterations = sr->iterations;
-    rep.convergence.converged = sr->converged;
-    rep.convergence.final_relres = sr->final_relres;
-    rep.convergence.residual_history = sr->history;
-    if (sr->history.size() >= 2 && sr->history.front() > 0.0)
-      rep.convergence.convergence_factor =
-          std::pow(sr->history.back() / sr->history.front(),
-                   1.0 / double(sr->history.size() - 1));
-    rep.status.status = status_name(sr->status);
-    rep.status.nonfinite_iteration = sr->nonfinite_iteration;
-    rep.status.recoveries = sr->recoveries;
-    rep.status.events.insert(rep.status.events.end(), sr->events.begin(),
-                             sr->events.end());
-  }
+  if (sr) fill_solve_report(rep, *sr);
   return rep;
 }
 
@@ -206,16 +158,6 @@ void dist_spmv_transpose(simmpi::Comm& comm, const DistMatrix& A,
     std::vector<Contribution> in = comm.recv_vec<Contribution>(r, kTagYT);
     for (const Contribution& c : in) y[Int(c.gcol - c0)] += c.value;
   }
-}
-
-double dist_dot(simmpi::Comm& comm, const Vector& a, const Vector& b) {
-  double local = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) local += a[i] * b[i];
-  return comm.allreduce_sum(local);
-}
-
-double dist_norm2(simmpi::Comm& comm, const Vector& a) {
-  return std::sqrt(dist_dot(comm, a, a));
 }
 
 namespace {

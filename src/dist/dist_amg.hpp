@@ -26,7 +26,7 @@
 
 namespace hpamg {
 
-struct DistSolveResult;  // dist_krylov.hpp
+struct SolveResult;  // amg/solver.hpp (DistSolveResult)
 
 struct DistAMGOptions {
   Variant variant = Variant::kOptimized;
@@ -86,7 +86,7 @@ struct DistHierarchy {
   /// is given, the solve (see support/report.hpp for the JSON schema).
   /// The solve-phase comm delta is not tracked here — callers that want
   /// it populate `solve_comm` on the returned report themselves.
-  SolveReport report(const DistSolveResult* sr = nullptr) const;
+  SolveReport report(const SolveResult* sr = nullptr) const;
 };
 
 /// Collective: every rank calls with its piece of A.
@@ -97,7 +97,7 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A,
 void dist_vcycle(simmpi::Comm& comm, DistHierarchy& h, const Vector& b,
                  Vector& x, PhaseTimes* pt = nullptr);
 
-// --- distributed vector/matrix kernels (shared with dist_krylov) ---
+// --- distributed matrix kernels (shared with dist_krylov) ---
 
 /// y = A x with halo exchange of x.
 void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
@@ -119,9 +119,5 @@ void dist_residual(simmpi::Comm& comm, const DistMatrix& A,
 /// restriction path: no stored transpose).
 void dist_spmv_transpose(simmpi::Comm& comm, const DistMatrix& A,
                          const Vector& x, Vector& y);
-
-/// Global dot product: local dot + allreduce.
-double dist_dot(simmpi::Comm& comm, const Vector& a, const Vector& b);
-double dist_norm2(simmpi::Comm& comm, const Vector& a);
 
 }  // namespace hpamg

@@ -25,12 +25,17 @@ struct KrylovResult {
   Int iterations = 0;
   double final_relres = 0.0;
   bool converged = false;
-  /// Why the solve stopped (support/error.hpp): kOk, kMaxIterations,
-  /// kNonFinite (NaN/Inf residual or basis vector), kStagnated (exact
-  /// breakdown — no further progress possible). converged == status_ok().
+  /// Why the solve stopped (support/error.hpp): kOk, kRecovered
+  /// ((F)GMRES converged after discarding a poisoned basis or restoring a
+  /// restart iterate), kMaxIterations, kDeadlineExceeded, kNonFinite
+  /// (NaN/Inf residual or basis vector, recovery exhausted), kStagnated
+  /// (exact breakdown — no further progress possible).
+  /// converged == status_ok().
   Status status = Status::kMaxIterations;
   /// First iteration that produced a non-finite quantity; -1 if none.
   Int nonfinite_iteration = -1;
+  /// Relative residual after each iteration (worst column for the block
+  /// solvers); empty when x converged on entry.
   std::vector<double> history;
 };
 
@@ -78,8 +83,10 @@ using MultiPreconditioner =
 struct BlockKrylovResult {
   Int iterations = 0;      ///< iterations shared across columns
   bool converged = false;  ///< every column reached rtol
-  /// kOk (all converged), kMaxIterations, kNonFinite (any column poisoned
-  /// — the batch aborts), kStagnated (every unconverged column broke down).
+  /// kOk (all converged), kRecovered (all converged after >= 1 recovery:
+  /// a poisoned column discards the batch's basis for that restart cycle),
+  /// kMaxIterations, kDeadlineExceeded, kNonFinite (recovery exhausted),
+  /// kStagnated (every unconverged column broke down).
   Status status = Status::kMaxIterations;
   Int nonfinite_iteration = -1;
   std::vector<double> final_relres;  ///< per column

@@ -21,7 +21,7 @@
 namespace hpamg {
 
 /// Terminal outcome of a solve (or setup) — the error-code taxonomy
-/// threaded through SolveResult / DistSolveResult / KrylovResult and the
+/// threaded through SolveResult (= DistSolveResult) / KrylovResult and the
 /// report's `status` block. Names are schema-stable (status_name).
 /// [[nodiscard]] on the enum makes every Status-returning call site a
 /// -Wunused-result warning when the verdict is dropped — enforced as an
@@ -138,10 +138,15 @@ inline Status status_from_exception(const std::exception& e) {
 // Convergence monitor
 // ------------------------------------------------------------------------
 
+/// Recovery budget per solve, shared by every solve loop (AMG iteration
+/// and (F)GMRES, serial and distributed): after this many scrub-and-restart
+/// attempts the solve stops with the failure status instead of retrying.
+inline constexpr Int kMaxRecoveries = 3;
+
 /// Classifies a residual history as it streams in and tells the driver
-/// when to trigger recovery. Used by AMGSolver::solve and the distributed
-/// drivers; decisions depend only on the (globally reduced) relative
-/// residual, so every rank reaches the same verdict.
+/// when to trigger recovery. Used by the standalone AMG loop
+/// (amg/solve_loop.hpp); decisions depend only on the (globally reduced)
+/// relative residual, so every rank reaches the same verdict.
 class ConvergenceMonitor {
  public:
   /// `div_factor`: relres above div_factor * best counts as divergence.
@@ -158,16 +163,12 @@ class ConvergenceMonitor {
   /// kOk (keep iterating), kNonFinite, or kDiverged (both: recover or
   /// stop). Stagnation never stops a solve mid-flight — query stagnated()
   /// when the budget runs out.
-  [[nodiscard]] Status observe(Int iteration, double relres) {
-    if (!std::isfinite(relres)) {
-      if (nonfinite_iteration_ < 0) nonfinite_iteration_ = iteration;
-      return Status::kNonFinite;
-    }
+  [[nodiscard]] Status observe(double relres) {
+    if (!std::isfinite(relres)) return Status::kNonFinite;
     if (best_ >= 0.0 && relres > div_factor_ * (best_ > 0.0 ? best_ : 1.0))
       return Status::kDiverged;
     if (best_ < 0.0 || relres < best_ * (1.0 - stall_eps_)) {
       best_ = relres;
-      best_iteration_ = iteration;
       since_improvement_ = 0;
     } else {
       ++since_improvement_;
@@ -180,20 +181,13 @@ class ConvergenceMonitor {
   void note_recovery() { since_improvement_ = 0; }
 
   bool stagnated() const { return since_improvement_ >= stall_window_; }
-  /// Best (smallest finite) residual seen; negative before any sample.
-  double best() const { return best_; }
-  Int best_iteration() const { return best_iteration_; }
-  /// First iteration that produced a non-finite residual; -1 if none.
-  Int nonfinite_iteration() const { return nonfinite_iteration_; }
 
  private:
   double div_factor_;
   Int stall_window_;
   double stall_eps_;
-  double best_ = -1.0;
-  Int best_iteration_ = 0;
+  double best_ = -1.0;  ///< smallest finite residual; negative before any
   Int since_improvement_ = 0;
-  Int nonfinite_iteration_ = -1;
 };
 
 }  // namespace hpamg

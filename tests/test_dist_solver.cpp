@@ -13,6 +13,7 @@
 #include "dist/dist_transpose.hpp"
 #include "gen/reservoir.hpp"
 #include "gen/stencil.hpp"
+#include "krylov/krylov.hpp"
 #include "matrix/transpose.hpp"
 #include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
@@ -234,6 +235,53 @@ TEST(DistSolve, StandaloneAmgAndSingleRank) {
     Vector b(dA.local_rows(), 1.0), x(dA.local_rows(), 0.0);
     DistSolveResult r = dist_amg_solve(c, dA, h, b, x, 1e-7, 100);
     EXPECT_TRUE(r.converged);
+  });
+}
+
+TEST(DistSolve, AmgSolveZeroRhsConvergesWithoutCycling) {
+  // As AMGSolver::solve: the initial residual is checked before the first
+  // cycle, so b = 0 (x = 0) is converged on entry.
+  CSRMatrix A = lap2d_5pt(16, 16);
+  for (int P : {1, 2}) {
+    simmpi::run(P, [&](simmpi::Comm& c) {
+      DistMatrix dA = distribute_csr(c, A);
+      DistHierarchy h = dist_amg_setup(c, dA, DistAMGOptions{});
+      Vector b(dA.local_rows(), 0.0), x(dA.local_rows(), 0.0);
+      DistSolveResult r = dist_amg_solve(c, dA, h, b, x, 1e-7, 100);
+      EXPECT_TRUE(r.converged) << "ranks=" << P;
+      EXPECT_EQ(r.status, Status::kOk) << "ranks=" << P;
+      EXPECT_EQ(r.iterations, 0) << "ranks=" << P;
+    });
+  }
+}
+
+TEST(DistSolve, SerialAndDistFgmresAgreeOnOneRank) {
+  // dist_fgmres and serial fgmres run the same loop: on one rank, with the
+  // same V-cycle as preconditioner, they take the same iterations and
+  // their histories agree to rounding.
+  CSRMatrix A = lap2d_5pt(30, 30);
+  simmpi::run(1, [&](simmpi::Comm& c) {
+    DistMatrix dA = distribute_csr(c, A);
+    DistHierarchy h = dist_amg_setup(c, dA, DistAMGOptions{});
+    Vector b(A.nrows, 1.0), xd(A.nrows, 0.0), xs(A.nrows, 0.0);
+    DistSolveResult d = dist_fgmres(c, dA, h, b, xd, 1e-8, 100);
+    auto pre = [&](const Vector& r, Vector& z) {
+      std::fill(z.begin(), z.end(), 0.0);
+      dist_vcycle(c, h, r, z);
+    };
+    KrylovOptions o;
+    o.rtol = 1e-8;
+    o.max_iterations = 100;
+    KrylovResult s = fgmres(A, b, xs, o, pre);
+    ASSERT_TRUE(d.converged);
+    ASSERT_TRUE(s.converged);
+    EXPECT_EQ(d.iterations, s.iterations);
+    ASSERT_EQ(d.history.size(), s.history.size());
+    for (std::size_t k = 0; k < d.history.size(); ++k)
+      EXPECT_NEAR(d.history[k], s.history[k], 1e-9 * s.history[k]) << k;
+    // The exit residual is recomputed as b - A x, whose cancellation at
+    // relres ~1e-8 leaves only about eight significant digits.
+    EXPECT_NEAR(d.final_relres, s.final_relres, 1e-6 * s.final_relres);
   });
 }
 

@@ -94,6 +94,28 @@ TEST(KrylovExtra, FgmresToleratesVaryingPreconditioner) {
   EXPECT_LT(test::relative_residual(A, x, b), 1e-8);
 }
 
+TEST(KrylovExtra, FgmresRecoversFromOnePoisonedPreconditionerApply) {
+  // One preconditioner apply writes a NaN: the Arnoldi step that uses it
+  // poisons the basis, which is discarded; the solve restarts from the last
+  // (finite) restart iterate and still converges.
+  CSRMatrix A = lap2d_5pt(25, 25);
+  AMGSolver amg(A, {});
+  int calls = 0;
+  auto pre = [&](const Vector& r, Vector& z) {
+    amg.precondition(r, z);
+    if (++calls == 3) z[z.size() / 2] = std::nan("");
+  };
+  Vector b(A.nrows, 1.0), x(A.nrows, 0.0);
+  KrylovOptions o;
+  o.rtol = 1e-9;
+  KrylovResult r = fgmres(A, b, x, o, pre);
+  EXPECT_EQ(r.status, Status::kRecovered);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.nonfinite_iteration, 3);
+  for (double v : x) ASSERT_TRUE(std::isfinite(v));
+  EXPECT_LT(test::relative_residual(A, x, b), o.rtol);
+}
+
 TEST(KrylovExtra, PcgMatchesLuSolution) {
   CSRMatrix A = test::random_spd(60, 4, 13);
   LUSolver lu(A);
