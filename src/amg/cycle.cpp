@@ -54,8 +54,6 @@ void sweep_column(const Hierarchy& h, Level& L, const Vector& b, Vector& x,
 template <int M>
 void smooth(const Hierarchy& h, Level& L, Int m, bool pre, bool zero_init,
             WorkCounters* wc) {
-  TRACE_SPAN("smoother", "kernel", "rows", std::int64_t(L.n), "cols",
-             std::int64_t(m));
   const AMGOptions& o = h.opts;
   const Int mm = M ? M : m;
   const bool jacobi = o.smoother == SmootherKind::kJacobi;
@@ -99,10 +97,13 @@ void smooth(const Hierarchy& h, Level& L, Int m, bool pre, bool zero_init,
   }
 }
 
+/// The coarsest level's solve, probed into Solve_etc and the level's slot.
 template <int M>
-void coarse_solve(Hierarchy& h, Level& L, Int m, WorkCounters* wc) {
-  TRACE_SPAN("coarse_solve", "kernel", "rows", std::int64_t(L.n), "cols",
-             std::int64_t(m));
+void coarse_solve(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
+                  double* level_seconds, WorkCounters* wc) {
+  attrib::Probe probe("coarse_solve", int(l), "Solve_etc", pt, level_seconds,
+                      wc);
+  Level& L = h.levels[l];
   const Int mm = M ? M : m;
   if (h.coarse_lu.size() == L.n && L.n > 0) {
     if (M == 1) {
@@ -132,18 +133,10 @@ void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
   Level& L = h.levels[l];
   const Int mm = M ? M : m;
   const bool optimized = h.opts.variant == Variant::kOptimized;
-  auto account = [&](const char* phase, const Timer& t) {
-    const double sec = t.seconds();
-    if (pt) pt->add(phase, sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
-  };
+  double* slot =
+      h.telemetry ? h.telemetry->level_slot(std::size_t(l)) : nullptr;
   if (l == h.num_levels() - 1) {
-    Timer t;
-    {
-      attrib::Scope as("coarse_solve", int(l), wc);
-      coarse_solve<M>(h, L, m, wc);
-    }
-    account("Solve_etc", t);
+    coarse_solve<M>(h, l, m, pt, slot, wc);
     return;
   }
   Level& N = h.levels[l + 1];
@@ -152,12 +145,8 @@ void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
   // their FIRST visit of a cycle; W-cycle revisits carry the accumulated
   // iterate.
   {
-    Timer t;
-    {
-      attrib::Scope as("smoother", int(l), wc);
-      smooth<M>(h, L, m, /*pre=*/true, /*zero_init=*/l > 0 && zero_entry, wc);
-    }
-    account("GS", t);
+    attrib::Probe probe("smoother", int(l), "GS", pt, slot, wc);
+    smooth<M>(h, L, m, /*pre=*/true, /*zero_init=*/l > 0 && zero_entry, wc);
   }
   if (l == 0 && h.telemetry && h.telemetry->measure_smoother) {
     // Diagnostic-only residual after the fine pre-smooth (worst column):
@@ -173,8 +162,7 @@ void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
 
   // Residual + restriction.
   {
-    Timer t;
-    attrib::Scope as("residual_restrict", int(l), wc);
+    attrib::Probe probe("residual_restrict", int(l), "SpMV", pt, slot, wc);
     block::spmv_residual<M>(L.A, L.x.data(), L.b.data(), L.r.data(), m, wc);
     if (optimized) {
       block::restrict_identity<M>(L.PfT, L.r.data(), L.rc_pre.data(), L.nc, m,
@@ -190,7 +178,6 @@ void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
       CSRMatrix R = transpose_serial(L.P, wc);
       block::spmv<M>(R, L.r.data(), N.b.data(), m, wc);
     }
-    account("SpMV", t);
   }
 
   zero_n(N.x.data(), std::size_t(N.n) * mm);
@@ -201,8 +188,7 @@ void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
 
   // Prolongation: x += P e.
   {
-    Timer t;
-    attrib::Scope as("prolong", int(l), wc);
+    attrib::Probe probe("prolong", int(l), "SpMV", pt, slot, wc);
     if (optimized) {
       const double* e = N.x.data();
       if (!N.perm.perm.empty()) {
@@ -218,17 +204,12 @@ void vcycle_level(Hierarchy& h, Int l, Int m, PhaseTimes* pt,
       block::axpy<M>(ones.data(), L.temp.data(), L.x.data(), L.n, m, nullptr,
                      wc);
     }
-    account("SpMV", t);
   }
 
   // Post-smoothing.
   {
-    Timer t;
-    {
-      attrib::Scope as("smoother", int(l), wc);
-      smooth<M>(h, L, m, /*pre=*/false, /*zero_init=*/false, wc);
-    }
-    account("GS", t);
+    attrib::Probe probe("smoother", int(l), "GS", pt, slot, wc);
+    smooth<M>(h, L, m, /*pre=*/false, /*zero_init=*/false, wc);
   }
 }
 
@@ -255,22 +236,28 @@ void vcycle_block(Hierarchy& h, const double* b, double* x, Int m,
   ensure_multi_workspace(h, m);
   Level& L0 = h.levels[0];
   const std::size_t len = std::size_t(L0.n) * (M ? M : m);
+  // Into level 0's working order (a gather on the permuted optimized
+  // path, a copy otherwise) and back out; neither is level work.
   const std::vector<Int>& perm = L0.perm.perm;
-  if (work_order || h.opts.variant != Variant::kOptimized || perm.empty()) {
-    copy_n(b, L0.b.data(), len);
-    copy_n(x, L0.x.data(), len);
-    vcycle_level<M>(h, 0, m, pt, wc);
-    copy_n(L0.x.data(), x, len);
-    return;
+  const bool gather = !work_order &&
+                      h.opts.variant == Variant::kOptimized && !perm.empty();
+  {
+    attrib::Probe probe("cycle.copy_in", -1, "Solve_etc", pt, nullptr,
+                        nullptr);
+    if (gather) {
+      block::gather_rows<M>(perm, b, L0.b.data(), m);
+      block::gather_rows<M>(perm, x, L0.x.data(), m);
+    } else {
+      copy_n(b, L0.b.data(), len);
+      copy_n(x, L0.x.data(), len);
+    }
   }
-  Timer t;
-  block::gather_rows<M>(perm, b, L0.b.data(), m);
-  block::gather_rows<M>(perm, x, L0.x.data(), m);
-  if (pt) pt->add("Solve_etc", t.seconds());
   vcycle_level<M>(h, 0, m, pt, wc);
-  t.reset();
-  block::scatter_rows<M>(perm, L0.x.data(), x, m);
-  if (pt) pt->add("Solve_etc", t.seconds());
+  attrib::Probe probe("cycle.copy_out", -1, "Solve_etc", pt, nullptr, nullptr);
+  if (gather)
+    block::scatter_rows<M>(perm, L0.x.data(), x, m);
+  else
+    copy_n(L0.x.data(), x, len);
 }
 
 template void vcycle_block<0>(Hierarchy&, const double*, double*, Int, bool,

@@ -7,6 +7,7 @@
 #include "amg/cycle.hpp"
 #include "amg/interp_classical.hpp"
 #include "matrix/transpose.hpp"
+#include "perfmodel/attrib.hpp"
 #include "spgemm/rap.hpp"
 #include "spgemm/spgemm.hpp"
 #include "support/check.hpp"
@@ -234,10 +235,11 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
   h.opts = opts;
   const bool optimized = opts.variant == Variant::kOptimized;
   WorkCounters* wc = &h.setup_work;
+  PhaseTimes* pt = &h.setup_times;
 
   CSRMatrix A_work = A_in;
   {
-    ScopedPhase sp(h.setup_times, "Setup_etc");
+    attrib::Probe probe("setup.sort", 0, "Setup_etc", pt, nullptr, wc);
     if (!A_work.rows_sorted()) A_work.sort_rows();
   }
 
@@ -248,7 +250,8 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
     if (last) break;
 
     // ---- Strength + coarsening ----
-    Timer phase;
+    attrib::Probe coarsen("setup.strength_coarsen", int(l),
+                          "Strength+Coarsen", pt, nullptr, wc);
     CSRMatrix S = optimized ? strength_matrix(A_work, opts.strength, wc)
                             : strength_matrix_serial(A_work, opts.strength, wc);
     CSRMatrix ST =
@@ -265,7 +268,7 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
     else
       cf = pmis_coarsen(S, ST, po, wc);
     Int nc = count_coarse(cf);
-    h.setup_times.add("Strength+Coarsen", phase.seconds());
+    coarsen.finish();
 
     if (nc == 0 || nc == n) break;  // cannot coarsen further
 
@@ -276,7 +279,8 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
     // ---- CF reordering (optimized only; charged to Setup_etc) ----
     CSRMatrix S_work = std::move(S);
     if (optimized) {
-      ScopedPhase sp(h.setup_times, "Setup_etc");
+      attrib::Probe probe("setup.permute", int(l), "Setup_etc", pt, nullptr,
+                          wc);
       L.perm = cf_permutation(cf);
       L.A = permute_symmetric(A_work, L.perm);
       L.A.sort_rows();
@@ -296,7 +300,7 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
     }
 
     // ---- Interpolation ----
-    phase.reset();
+    attrib::Probe interp("setup.interp", int(l), "Interp", pt, nullptr, wc);
     CSRMatrix P;
     const InterpKind kind =
         aggressive ? opts.interp
@@ -308,12 +312,12 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
       P = build_interp_2stage(L.A, S_work, cf, cf_first, opts, wc);
     else
       P = build_interp(L.A, S_work, cf, opts, kind, wc);
-    h.setup_times.add("Interp", phase.seconds());
+    interp.finish();
     HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
                           check::interp_shape(P, n, nc, "level interp P"));
 
     // ---- Galerkin product ----
-    phase.reset();
+    attrib::Probe rap("setup.rap", int(l), "RAP", pt, nullptr, wc);
     CSRMatrix A_next;
     if (optimized) {
       // P = [I; Pf] after CF reordering: keep only the fine block and its
@@ -328,7 +332,7 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
       A_next = rap_fused_hypre(R, L.A, L.P, wc);
     }
     A_next.sort_rows();
-    h.setup_times.add("RAP", phase.seconds());
+    rap.finish();
     HPAMG_CHECK_INVARIANT(
         check::Depth::kCheap,
         check::csr_well_formed(A_next, "Galerkin coarse operator"));
@@ -352,7 +356,8 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
 
     // ---- Smoother plans ----
     {
-      ScopedPhase sp(h.setup_times, "Setup_etc");
+      attrib::Probe probe("setup.smoother_plan", int(l), "Setup_etc", pt,
+                          nullptr, wc);
       build_smoother_plans(L, opts);
       h.stats.push_back({L.n, L.A.nnz(), L.nc,
                          optimized ? L.Pf.nnz() + nc : L.P.nnz()});
@@ -364,7 +369,8 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
 
   // ---- Coarsest level ----
   {
-    ScopedPhase sp(h.setup_times, "Setup_etc");
+    attrib::Probe probe("setup.coarse_solver", int(h.levels.size()),
+                        "Setup_etc", pt, nullptr, wc);
     Level L;
     L.n = A_work.nrows;
     L.nc = 0;

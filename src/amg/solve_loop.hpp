@@ -10,6 +10,7 @@
 
 #include "amg/solver.hpp"
 #include "amg/telemetry.hpp"
+#include "perfmodel/attrib.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/live.hpp"
@@ -35,16 +36,14 @@ template <int M, class Ops>
 void amg_loop(Ops& ops, const Vector& b, Vector& x, double rtol,
               Int max_iterations, const Deadline& deadline, SolveResult& res,
               std::vector<double>& relres, std::vector<Int>& col_iterations) {
-  using Timer = typename Ops::Timer;
   const Int n = ops.n, mm = M ? M : ops.m;
   const std::size_t len = std::size_t(n) * std::size_t(mm);
   PhaseTimes& pt = res.solve_times;
 
   std::vector<double> normb(std::size_t(mm), 0.0), norms(std::size_t(mm), 0.0);
   {
-    Timer t;
+    attrib::Probe probe("amg.norm_b", "BLAS1", pt, Ops::kClock);
     ops.dot(b.data(), b.data(), normb.data());
-    pt.add("BLAS1", t.seconds());
   }
   for (double& nb : normb) nb = nb > 0.0 ? std::sqrt(nb) : 1.0;
 
@@ -86,7 +85,7 @@ void amg_loop(Ops& ops, const Vector& b, Vector& x, double rtol,
   CycleTelemetryHook* tel = ops.telemetry();
   const double tel_normb = *std::min_element(normb.begin(), normb.end());
   double prev_relres = worst;
-  Timer t_iter;
+  Timer t_iter(Ops::kClock);
 
   for (Int it = 1; it <= max_iterations; ++it) {
     // Deadline check once per V-cycle, at the same cadence as the

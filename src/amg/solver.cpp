@@ -27,7 +27,7 @@ const CSRMatrix& validated(const CSRMatrix& A) {
 /// variant.
 template <int M>
 struct SerialAmgOps {
-  using Timer = hpamg::Timer;
+  static constexpr Clock kClock = Clock::kWall;
   static constexpr const char* kPoisonSite = "amg.solve.poison";
 
   SerialAmgOps(Hierarchy& hh, Int cols, WorkCounters* w)
@@ -51,19 +51,19 @@ struct SerialAmgOps {
   void residual_norms(const Vector& x, const Vector& b, Vector& r,
                       double* norms2, PhaseTimes& pt) {
     const CSRMatrix& A = h.levels[0].A;
-    Timer t;
     if (h.opts.variant == Variant::kOptimized) {
       // Fused residual + norm (§3.3): one pass instead of SpMV then dot.
+      attrib::Probe probe("amg.residual", -1, "SpMV", &pt, nullptr, wc);
       block::spmv_residual_norms<M>(A, x.data(), b.data(), r.data(), m,
                                     norms2, wc);
-      pt.add("SpMV", t.seconds());
       return;
     }
-    block::spmv_residual<M>(A, x.data(), b.data(), r.data(), m, wc);
-    pt.add("SpMV", t.seconds());
-    Timer t2;
+    {
+      attrib::Probe probe("amg.residual", -1, "SpMV", &pt, nullptr, wc);
+      block::spmv_residual<M>(A, x.data(), b.data(), r.data(), m, wc);
+    }
+    attrib::Probe probe("amg.residual_norm", -1, "BLAS1", &pt, nullptr, wc);
     dot(r.data(), r.data(), norms2);
-    pt.add("BLAS1", t2.seconds());
   }
   void cycle(const Vector& b, Vector& x, PhaseTimes& pt) {
     vcycle_block<M>(h, b.data(), x.data(), m, /*work_order=*/true, &pt, wc);
@@ -95,7 +95,7 @@ void solve_loop(Hierarchy& h, const double* b, double* x, Int m, double rtol,
   // Keep working vectors permuted across the whole solve; gather once.
   Vector bw(len), xw(len);
   {
-    Timer t;
+    attrib::Probe probe("amg.gather", "Solve_etc", pt);
     if (permuted) {
       block::gather_rows<M>(L0.perm.perm, b, bw.data(), m);
       block::gather_rows<M>(L0.perm.perm, x, xw.data(), m);
@@ -103,19 +103,17 @@ void solve_loop(Hierarchy& h, const double* b, double* x, Int m, double rtol,
       copy_n(b, bw.data(), len);
       copy_n(x, xw.data(), len);
     }
-    pt.add("Solve_etc", t.seconds());
   }
 
   SerialAmgOps<M> ops(h, m, &res.solve_work);
   detail::amg_loop<M>(ops, bw, xw, rtol, max_iterations, deadline, res,
                       relres, col_iterations);
 
-  Timer t;
+  attrib::Probe probe("amg.scatter", "Solve_etc", pt);
   if (permuted)
     block::scatter_rows<M>(L0.perm.perm, xw.data(), x, m);
   else
     copy_n(xw.data(), x, len);
-  pt.add("Solve_etc", t.seconds());
 }
 
 }  // namespace
@@ -148,15 +146,20 @@ MultiSolveResult AMGSolver::solve_multi(const MultiVector& B, MultiVector& X,
     solve_loop<M>(h_, B.data.data(), X.data.data(), B.m, rtol, max_iterations,
                   deadline, sr, res.final_relres, res.col_iterations);
   });
-  res.iterations = sr.iterations;
-  res.converged = sr.converged;
-  res.status = sr.status;
-  res.nonfinite_iteration = sr.nonfinite_iteration;
-  res.recoveries = sr.recoveries;
-  res.events = std::move(sr.events);
-  res.solve_times = std::move(sr.solve_times);
-  res.solve_work = sr.solve_work;
+  res.take(std::move(sr));
   return res;
+}
+
+void MultiSolveResult::take(SolveResult&& sr) {
+  iterations = sr.iterations;
+  converged = sr.converged;
+  status = sr.status;
+  nonfinite_iteration = sr.nonfinite_iteration;
+  recoveries = sr.recoveries;
+  events = std::move(sr.events);
+  history = std::move(sr.history);
+  solve_times = std::move(sr.solve_times);
+  solve_work = sr.solve_work;
 }
 
 SolveReport AMGSolver::report(const SolveResult* sr) const {
@@ -211,8 +214,8 @@ SolveReport setup_report(const char* solver, Variant variant,
   rep.setup_work = setup_work;
   rep.setup_seconds = setup_times.total();
   rep.status.events = events;  // setup incidents first, then solve's
-  // Roofline attribution accumulated by the cycle's attrib scopes; empty
-  // (and omitted from the JSON) unless metrics were on during the solve.
+  // Roofline attribution accumulated by the setup and solve probes; empty
+  // (and omitted from the JSON) unless metrics were on while they ran.
   rep.roofline = attrib::snapshot();
   attrib::publish_metrics(rep.roofline);
   return rep;
@@ -252,7 +255,7 @@ void AMGSolver::refresh_values(const CSRMatrix& A_new) {
   require(A_new.nrows == h_.levels[0].n && A_new.nrows == A_new.ncols,
           "refresh_values: size mismatch");
   const bool optimized = h_.opts.variant == Variant::kOptimized;
-  ScopedPhase sp(h_.setup_times, "Setup_refresh");
+  attrib::Probe probe("setup.refresh", "Setup_refresh", h_.setup_times);
 
   CSRMatrix A_work = A_new;
   if (!A_work.rows_sorted()) A_work.sort_rows();

@@ -67,8 +67,14 @@ struct MultiSolveResult {
   /// Incident log (recoveries, deadline expiry with partial-result note),
   /// mirroring SolveResult::events.
   std::vector<std::string> events;
+  std::vector<double> history;  ///< worst column's relres per iteration
   PhaseTimes solve_times;
   WorkCounters solve_work;
+
+  /// Takes a shared loop's worst-column outcome (all of `sr` but its
+  /// final_relres and telemetry); the loop fills final_relres and
+  /// col_iterations here directly.
+  void take(SolveResult&& sr);
 };
 
 // The two halves of a SolveReport, shared by AMGSolver::report and

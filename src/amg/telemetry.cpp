@@ -9,10 +9,6 @@ void CycleTelemetryHook::begin_cycle(std::size_t nlevels) {
   presmooth_norm2 = -1.0;
 }
 
-void CycleTelemetryHook::add(std::size_t l, double seconds) {
-  if (l < level_seconds.size()) level_seconds[l] += seconds;
-}
-
 IterationReportEntry make_iteration_entry(Int iteration, double relres,
                                           double prev_relres, double seconds,
                                           double normb,

@@ -1,9 +1,10 @@
 // Per-iteration solve telemetry.
 //
 // A CycleTelemetryHook is a small sampling buffer the solver loans to the
-// cycle for the duration of one V-cycle: the cycle deposits per-level wall
-// time (piggybacking on the Timer reads the phase breakdown already does)
-// and, when asked, the fine-level residual norm right after pre-smoothing.
+// cycle for the duration of one V-cycle: the cycle's probes
+// (attrib::Probe) deposit per-level time from the same clock reads that
+// fill the phase breakdown and the roofline, and, when asked, the cycle
+// records the fine-level residual norm right after pre-smoothing.
 // The solver turns each cycle's sample into an IterationReportEntry —
 // residual, convergence factor, per-level time split, and how much of the
 // contraction the fine smoother alone delivered — emitted as the report's
@@ -25,7 +26,7 @@
 namespace hpamg {
 
 struct CycleTelemetryHook {
-  /// Wall seconds this cycle spent on each level (smooth + residual +
+  /// Seconds this cycle spent on each level (smooth + residual +
   /// transfer + coarse solve), indexed by level.
   std::vector<double> level_seconds;
   /// Ask the cycle to record the finest-level residual 2-norm right after
@@ -37,9 +38,11 @@ struct CycleTelemetryHook {
 
   /// Resets the buffer for the next cycle.
   void begin_cycle(std::size_t nlevels);
-  /// Accumulates seconds into level `l` (ignores out-of-range levels so a
+  /// Level `l`'s accumulator, or null for an out-of-range level (so a
   /// hierarchy rebuilt mid-loan cannot write past the buffer).
-  void add(std::size_t l, double seconds);
+  double* level_slot(std::size_t l) {
+    return l < level_seconds.size() ? &level_seconds[l] : nullptr;
+  }
 };
 
 /// Attaches `hook` to a hierarchy's telemetry slot for one solve and

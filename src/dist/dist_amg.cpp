@@ -199,7 +199,6 @@ void gs_branchy(const DistMatrix& A, const std::vector<double>& inv_diag,
 
 void smooth_level(simmpi::Comm& comm, DistHierarchy& h, DistLevel& L,
                   const Vector& b, Vector& x, bool pre) {
-  TRACE_SPAN("dist.gs", "kernel", "rows", std::int64_t(L.A.local_rows()));
   const bool optimized = h.opts.variant == Variant::kOptimized;
   for (Int s = 0; s < h.opts.num_sweeps; ++s) {
     // C-then-F for pre-smoothing, F-then-C for post; a halo refresh before
@@ -239,10 +238,15 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
   TRACE_SPAN("cycle.level", std::int64_t(l));
   live::beat_phase("cycle.level", std::int64_t(l));
   DistLevel& L = h.levels[l];
+  double* slot =
+      h.telemetry ? h.telemetry->level_slot(std::size_t(l)) : nullptr;
+  // Every step is probed in this rank's CPU time.
+  auto probe = [&](const char* kernel, const char* phase) {
+    return attrib::Probe(kernel, int(l), phase, pt, slot, nullptr,
+                         Clock::kCpu);
+  };
   if (l == Int(h.levels.size()) - 1) {
-    CpuTimer t;
-    attrib::Scope as("dist.coarse_solve", int(l), nullptr,
-                     attrib::Scope::Clock::kCpu);
+    attrib::Probe p = probe("dist.coarse_solve", "Solve_etc");
     if (h.coarse_lu.size() > 0 &&
         h.coarse_lu.size() == Int(h.coarse_starts.back())) {
       // Coarsest: gather RHS to every rank, direct-solve, keep own slice.
@@ -251,7 +255,7 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
       wc.flops = 2 * nc * nc;  // two triangular solves
       wc.bytes_read = nc * nc * sizeof(double);
       wc.bytes_written = nc * sizeof(double);
-      as.set_work(wc);
+      p.set_work(wc);
       Vector full_b = gather_vector(comm, L.b, h.coarse_starts);
       Vector full_x(full_b.size(), 0.0);
       h.coarse_lu.solve(full_b.data(), full_x.data());
@@ -260,7 +264,7 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
     } else {
       // Too large to replicate/factorize (max_levels capped the
       // hierarchy): approximate with distributed GS sweeps (paper §2).
-      as.set_work(est_csr_pass(L.A, 8));
+      p.set_work(est_csr_pass(L.A, 8));
       std::fill(L.x.begin(), L.x.end(), 0.0);
       std::vector<Int> all_rows(L.A.local_rows());
       for (Int i = 0; i < L.A.local_rows(); ++i) all_rows[i] = i;
@@ -269,30 +273,18 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
         gs_rows(L.A, L.inv_diag, L.b, L.x, L.x_ext, all_rows);
       }
     }
-    const double sec = t.seconds();
-    if (pt) pt->add("Solve_etc", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
     return;
   }
   DistLevel& N = h.levels[l + 1];
   const bool optimized = h.opts.variant == Variant::kOptimized;
 
   {
-    CpuTimer t;
-    {
-      attrib::Scope as("dist.gs", int(l), nullptr,
-                       attrib::Scope::Clock::kCpu);
-      as.set_work(est_csr_pass(L.A, std::uint64_t(h.opts.num_sweeps)));
-      smooth_level(comm, h, L, L.b, L.x, /*pre=*/true);
-    }
-    const double sec = t.seconds();
-    if (pt) pt->add("GS", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    attrib::Probe p = probe("dist.gs", "GS");
+    p.set_work(est_csr_pass(L.A, std::uint64_t(h.opts.num_sweeps)));
+    smooth_level(comm, h, L, L.b, L.x, /*pre=*/true);
   }
   {
-    CpuTimer t;
-    attrib::Scope as("dist.residual_restrict", int(l), nullptr,
-                     attrib::Scope::Clock::kCpu);
+    attrib::Probe p = probe("dist.residual_restrict", "SpMV");
     WorkCounters est = est_csr_pass(L.A, 1);
     dist_residual(comm, L.A, *L.halo_A, L.x, L.x_ext, L.b, L.r);
     if (optimized && L.has_R) {
@@ -302,38 +294,21 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
       est += est_csr_pass(L.P, 1);
       dist_spmv_transpose(comm, L.P, L.r, N.b);
     }
-    as.set_work(est);
-    const double sec = t.seconds();
-    if (pt) pt->add("SpMV", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    p.set_work(est);
   }
   std::fill(N.x.begin(), N.x.end(), 0.0);
   dist_vcycle_level(comm, h, l + 1, pt);
   {
-    CpuTimer t;
-    {
-      attrib::Scope as("dist.prolong", int(l), nullptr,
-                       attrib::Scope::Clock::kCpu);
-      as.set_work(est_csr_pass(L.P, 1));
-      // x += P e  (halo on the coarse vector).
-      dist_spmv(comm, L.P, *L.halo_P, N.x, L.temp, L.r);
-      for (std::size_t i = 0; i < L.x.size(); ++i) L.x[i] += L.r[i];
-    }
-    const double sec = t.seconds();
-    if (pt) pt->add("SpMV", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    attrib::Probe p = probe("dist.prolong", "SpMV");
+    p.set_work(est_csr_pass(L.P, 1));
+    // x += P e  (halo on the coarse vector).
+    dist_spmv(comm, L.P, *L.halo_P, N.x, L.temp, L.r);
+    for (std::size_t i = 0; i < L.x.size(); ++i) L.x[i] += L.r[i];
   }
   {
-    CpuTimer t;
-    {
-      attrib::Scope as("dist.gs", int(l), nullptr,
-                       attrib::Scope::Clock::kCpu);
-      as.set_work(est_csr_pass(L.A, std::uint64_t(h.opts.num_sweeps)));
-      smooth_level(comm, h, L, L.b, L.x, /*pre=*/false);
-    }
-    const double sec = t.seconds();
-    if (pt) pt->add("GS", sec);
-    if (h.telemetry) h.telemetry->add(std::size_t(l), sec);
+    attrib::Probe p = probe("dist.gs", "GS");
+    p.set_work(est_csr_pass(L.A, std::uint64_t(h.opts.num_sweeps)));
+    smooth_level(comm, h, L, L.b, L.x, /*pre=*/false);
   }
 }
 
@@ -363,6 +338,11 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
   const bool optimized = opts.variant == Variant::kOptimized;
   const simmpi::CommStats comm_before = comm.stats();
   WorkCounters* wc = &h.setup_work;
+  // One probe per setup phase, in this rank's CPU time.
+  auto probe = [&](const char* kernel, const char* phase, Int level) {
+    return attrib::Probe(kernel, int(level), phase, &h.setup_times, nullptr,
+                         wc, Clock::kCpu);
+  };
 
   DistSpgemmOptions so;
   so.parallel_renumber = optimized;
@@ -381,8 +361,8 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
   for (Int l = 0; l < opts.max_levels; ++l) {
     if (A.global_rows <= opts.coarse_size || l == opts.max_levels - 1) break;
 
-    trace::Span tsp("setup.strength_coarsen", std::int64_t(l));
-    CpuTimer phase;
+    attrib::Probe coarsen =
+        probe("setup.strength_coarsen", "Strength+Coarsen", l);
     simmpi::CommStats snap = comm.stats();
     DistMatrix S = dist_strength(A, opts.strength, optimized, wc);
     DistMatrix ST = dist_transpose(comm, S, optimized, wc);
@@ -397,15 +377,13 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
     else
       cf = dist_pmis(comm, S, ST, po, wc);
     CoarseNumbering cn = coarse_numbering(comm, cf);
-    h.setup_times.add("Strength+Coarsen", phase.seconds());
+    coarsen.finish();
     h.phase_comm["Strength+Coarsen"] += comm.stats().delta_since(snap);
-    tsp.finish();
     sample_work();
     if (cn.global_coarse == 0 || cn.global_coarse == A.global_rows) break;
 
     // ---- Interpolation ----
-    trace::Span tsp_interp("setup.interp", std::int64_t(l));
-    phase.reset();
+    attrib::Probe interp = probe("setup.interp", "Interp", l);
     snap = comm.stats();
     DistInterpOptions io;
     io.truncation = opts.truncation;
@@ -458,14 +436,12 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
       P = dist_extpi_interp(comm, A, S, ST, cf, cn, io, wc, &iinfo);
     }
     h.interp_exchange_bytes += iinfo.gathered_bytes;
-    h.setup_times.add("Interp", phase.seconds());
+    interp.finish();
     h.phase_comm["Interp"] += comm.stats().delta_since(snap);
-    tsp_interp.finish();
     sample_work();
 
     // ---- RAP ----
-    trace::Span tsp_rap("setup.rap", std::int64_t(l));
-    phase.reset();
+    attrib::Probe rap = probe("setup.rap", "RAP", l);
     snap = comm.stats();
     DistLevel L;
     L.A = std::move(A);
@@ -474,14 +450,12 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
         dist_rap(comm, L.A, L.P, so, wc, nullptr,
                  optimized ? &L.R : nullptr);
     L.has_R = optimized;
-    h.setup_times.add("RAP", phase.seconds());
+    rap.finish();
     h.phase_comm["RAP"] += comm.stats().delta_since(snap);
-    tsp_rap.finish();
     sample_work();
 
     // ---- Level finalization ----
-    trace::Span tsp_fin("setup.finalize", std::int64_t(l));
-    phase.reset();
+    attrib::Probe finalize = probe("setup.finalize", "Setup_etc", l);
     L.cf = cf;
     const Int n = L.A.local_rows();
     L.inv_diag.assign(n, 1.0);
@@ -507,15 +481,15 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
     h.stats.push_back({Int(L.A.global_rows), 0, Int(cn.global_coarse),
                        L.P.nnz_local()});
     h.stats.back().nnz = comm.allreduce_sum(L.A.nnz_local());
-    h.setup_times.add("Setup_etc", phase.seconds());
+    finalize.finish();
     h.levels.push_back(std::move(L));
     A = std::move(A_next);
   }
 
   // Coarsest level: replicate and LU-factor.
   {
-    TRACE_SPAN("setup.coarse_solver", "phase");
-    CpuTimer phase;
+    attrib::Probe coarse =
+        probe("setup.coarse_solver", "Setup_etc", Int(h.levels.size()));
     DistLevel L;
     L.A = std::move(A);
     h.coarse_starts = L.A.row_starts;
@@ -550,7 +524,6 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
     h.stats.push_back({Int(L.A.global_rows), 0, 0, 0});
     h.stats.back().nnz = comm.allreduce_sum(L.A.nnz_local());
     h.levels.push_back(std::move(L));
-    h.setup_times.add("Setup_etc", phase.seconds());
   }
   h.setup_comm = comm.stats().delta_since(comm_before);
   sample_work();
@@ -575,9 +548,15 @@ void dist_vcycle(simmpi::Comm& comm, DistHierarchy& h, const Vector& b,
                  Vector& x, PhaseTimes* pt) {
   TRACE_SPAN("dist.vcycle", "phase");
   DistLevel& L0 = h.levels[0];
-  copy(b, L0.b);
-  copy(x, L0.x);
+  {
+    attrib::Probe probe("dist.cycle_copy_in", -1, "Solve_etc", pt, nullptr,
+                        nullptr, Clock::kCpu);
+    copy(b, L0.b);
+    copy(x, L0.x);
+  }
   dist_vcycle_level(comm, h, 0, pt);
+  attrib::Probe probe("dist.cycle_copy_out", -1, "Solve_etc", pt, nullptr,
+                      nullptr, Clock::kCpu);
   copy(L0.x, x);
 }
 

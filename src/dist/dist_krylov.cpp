@@ -4,6 +4,7 @@
 #include "amg/telemetry.hpp"
 #include "krylov/gmres_common.hpp"
 #include "matrix/vector_ops.hpp"
+#include "perfmodel/attrib.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -15,12 +16,12 @@ namespace {
 /// The distributed (one column per rank slice) instance of the shared
 /// loops' ops: dots reduce across ranks, the operator applies exchange one
 /// halo, and the preconditioner / cycle is one V-cycle of `h`. Every step
-/// is timed in this rank's CPU time into GS / SpMV / BLAS1 / Solve_etc.
+/// is probed in this rank's CPU time into GS / SpMV / BLAS1 / Solve_etc.
 /// Per-iteration telemetry rides along when the metrics registry is on;
 /// dist smoother effectiveness is not measured (it would add collectives
 /// and perturb the comm-stat baselines).
 struct DistOps {
-  using Timer = CpuTimer;
+  static constexpr Clock kClock = Clock::kCpu;
   static constexpr const char* kPoisonSite = "dist.solve.poison";
 
   DistOps(simmpi::Comm& c, const DistMatrix& a, DistHierarchy& hh)
@@ -45,20 +46,21 @@ struct DistOps {
   }
   void residual_norms(const Vector& x, const Vector& b, Vector& r,
                       double* norms2, PhaseTimes& pt) {
-    CpuTimer t;
-    dist_residual(comm, A, halo, x, x_ext, b, r);
-    pt.add("SpMV", t.seconds());
-    CpuTimer t2;
+    {
+      attrib::Probe probe("dist.residual", "SpMV", pt, kClock);
+      dist_residual(comm, A, halo, x, x_ext, b, r);
+    }
+    attrib::Probe probe("dist.residual_norm", "BLAS1", pt, kClock);
     dot(r.data(), r.data(), norms2);
-    pt.add("BLAS1", t2.seconds());
   }
   void apply(const Vector& z, Vector& w) {
     dist_spmv(comm, A, halo, z, x_ext, w);
   }
   void precondition(const MultiVector& v, MultiVector& z, PhaseTimes& pt) {
-    CpuTimer t;
-    set_zero(z.data);
-    pt.add("BLAS1", t.seconds());
+    {
+      attrib::Probe probe("dist.precond_zero", "BLAS1", pt, kClock);
+      set_zero(z.data);
+    }
     cycle(v.data, z.data, pt);
   }
   void cycle(const Vector& b, Vector& x, PhaseTimes& pt) {

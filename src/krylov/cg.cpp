@@ -13,20 +13,27 @@ namespace {
 /// The one (preconditioned) CG loop, on n x m row-major blocks (M as in
 /// with_width): per-column alpha/beta/rho recurrences. Converged or
 /// broken-down columns freeze (their iterate and direction stop changing)
-/// while the rest keep sharing the batched kernels.
+/// while the rest keep sharing the batched kernels. Fills `res` with the
+/// worst column's history/status, and the per-column relres and first
+/// converged iteration.
 template <int M>
-BlockKrylovResult pcg_loop(const CSRMatrix& A, const double* b, double* x,
-                           Int m, const KrylovOptions& opt,
-                           const MultiPreconditioner& precond) {
+void pcg_loop(const CSRMatrix& A, const double* b, double* x, Int m,
+              const KrylovOptions& opt, const MultiPreconditioner& precond,
+              SolveResult& res, std::vector<double>& relres,
+              std::vector<Int>& col_iterations) {
   TRACE_SPAN(M == 1 ? "krylov.pcg" : "krylov.block_pcg", "phase", "rhs",
              std::int64_t(m));
   live::ActivityScope live_scope;
   const Int n = A.nrows;
   if (M) m = M;
   const std::size_t mm = std::size_t(m);
-  BlockKrylovResult res;
-  res.final_relres.assign(mm, 0.0);
-  res.col_iterations.assign(mm, -1);
+  relres.assign(mm, 0.0);
+  col_iterations.assign(mm, -1);
+  // Every exit records the worst column's relres.
+  auto stop = [&](Status s) {
+    res.status = s;
+    res.final_relres = worst_column(relres);
+  };
 
   MultiVector R(n, m), Z(n, m), P(n, m), AP(n, m);
   double* r = R.data.data();
@@ -47,22 +54,20 @@ BlockKrylovResult pcg_loop(const CSRMatrix& A, const double* b, double* x,
   Int num_live = m;
   for (std::size_t j = 0; j < mm; ++j) {
     const double rr = std::sqrt(rnorm[j]) / normb[j];
-    res.final_relres[j] = rr;
+    relres[j] = rr;
     if (!std::isfinite(rr)) {
-      res.status = Status::kNonFinite;
       res.nonfinite_iteration = 0;
-      return res;
+      return stop(Status::kNonFinite);
     }
     if (rr < opt.rtol) {
       live[j] = 0;
-      res.col_iterations[j] = 0;
+      col_iterations[j] = 0;
       --num_live;
     }
   }
   if (num_live == 0) {
     res.converged = true;
-    res.status = Status::kOk;
-    return res;
+    return stop(Status::kOk);
   }
 
   auto apply_precond = [&] {
@@ -87,9 +92,8 @@ BlockKrylovResult pcg_loop(const CSRMatrix& A, const double* b, double* x,
       alpha[j] = 0.0;  // frozen: x_j, r_j must not move
       if (!live[j]) continue;
       if (!std::isfinite(pAp[j])) {
-        res.status = Status::kNonFinite;
         res.nonfinite_iteration = it;
-        return res;
+        return stop(Status::kNonFinite);
       }
       if (pAp[j] == 0.0) {  // exact breakdown: p_j is A-null
         live[j] = 0;
@@ -107,20 +111,19 @@ BlockKrylovResult pcg_loop(const CSRMatrix& A, const double* b, double* x,
     for (std::size_t j = 0; j < mm; ++j) {
       if (!live[j]) continue;
       const double rr = std::sqrt(rnorm[j]) / normb[j];
-      res.final_relres[j] = rr;
+      relres[j] = rr;
       if (!std::isfinite(rr)) {
-        res.status = Status::kNonFinite;
         res.nonfinite_iteration = it;
-        return res;
+        return stop(Status::kNonFinite);
       }
       if (rr < opt.rtol) {
         live[j] = 0;
-        res.col_iterations[j] = it;
+        col_iterations[j] = it;
         --num_live;
       }
     }
     // The worst column decides when the block solve finishes.
-    res.history.push_back(worst_column(res.final_relres));
+    res.history.push_back(worst_column(relres));
     live::beat_iteration(it, res.history.back());
     if (num_live == 0) break;
 
@@ -138,17 +141,16 @@ BlockKrylovResult pcg_loop(const CSRMatrix& A, const double* b, double* x,
 
   bool all_converged = true;
   for (std::size_t j = 0; j < mm; ++j)
-    if (res.col_iterations[j] < 0) all_converged = false;
+    if (col_iterations[j] < 0) all_converged = false;
   res.converged = all_converged;
   if (all_converged)
-    res.status = Status::kOk;
+    stop(Status::kOk);
   else if (deadline_hit)
-    res.status = Status::kDeadlineExceeded;  // partial: frozen iterates kept
+    stop(Status::kDeadlineExceeded);  // partial: frozen iterates kept
   else if (num_live == 0)
-    res.status = Status::kStagnated;  // every straggler broke down
+    stop(Status::kStagnated);  // every straggler broke down
   else
-    res.status = Status::kMaxIterations;
-  return res;
+    stop(Status::kMaxIterations);
 }
 
 }  // namespace
@@ -157,8 +159,12 @@ KrylovResult pcg(const CSRMatrix& A, const Vector& b, Vector& x,
                  const KrylovOptions& opt, const Preconditioner& precond) {
   require(Int(b.size()) == A.nrows && Int(x.size()) == A.nrows,
           "pcg: size mismatch");
-  return detail::single_column(
-      pcg_loop<1>(A, b.data(), x.data(), 1, opt, detail::as_block(precond)));
+  KrylovResult res;
+  std::vector<double> relres;
+  std::vector<Int> col_iterations;
+  pcg_loop<1>(A, b.data(), x.data(), 1, opt, detail::as_block(precond), res,
+              relres, col_iterations);
+  return res;
 }
 
 BlockKrylovResult block_pcg(const CSRMatrix& A, const MultiVector& B,
@@ -167,9 +173,14 @@ BlockKrylovResult block_pcg(const CSRMatrix& A, const MultiVector& B,
   require(B.n == A.nrows && X.n == A.nrows && X.m == B.m,
           "block_pcg: shape mismatch");
   require(B.m > 0, "block_pcg: no right-hand sides");
-  return with_width(B.m, [&]<int M>() {
-    return pcg_loop<M>(A, B.data.data(), X.data.data(), B.m, opt, precond);
+  SolveResult sr;
+  BlockKrylovResult res;
+  with_width(B.m, [&]<int M>() {
+    pcg_loop<M>(A, B.data.data(), X.data.data(), B.m, opt, precond, sr,
+                res.final_relres, res.col_iterations);
   });
+  res.take(std::move(sr));
+  return res;
 }
 
 }  // namespace hpamg

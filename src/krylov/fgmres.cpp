@@ -12,7 +12,7 @@ namespace {
 /// kernels on a CSRMatrix and a caller-supplied preconditioner.
 template <int M>
 struct SerialKrylovOps {
-  using Timer = hpamg::Timer;
+  static constexpr Clock kClock = Clock::kWall;
   static constexpr const char* kPoisonSite = nullptr;
 
   const CSRMatrix& A;
@@ -27,12 +27,12 @@ struct SerialKrylovOps {
   }
   void residual_norms(const Vector& x, const Vector& b, Vector& r,
                       double* norms2, PhaseTimes& pt) {
-    Timer t;
-    block::spmv_residual<M>(A, x.data(), b.data(), r.data(), m, nullptr);
-    pt.add("SpMV", t.seconds());
-    Timer t2;
+    {
+      attrib::Probe probe("krylov.residual", "SpMV", pt);
+      block::spmv_residual<M>(A, x.data(), b.data(), r.data(), m, nullptr);
+    }
+    attrib::Probe probe("krylov.residual_norm", "BLAS1", pt);
     dot(r.data(), r.data(), norms2);
-    pt.add("BLAS1", t2.seconds());
   }
   void apply(const Vector& z, Vector& w) {
     block::spmv<M>(A, z.data(), w.data(), m, nullptr);
@@ -45,22 +45,17 @@ struct SerialKrylovOps {
   }
 };
 
-/// Runs the serial loop on an n x m block.
-template <int M>
-BlockKrylovResult serial_gmres(const CSRMatrix& A, const Vector& b, Vector& x,
-                               Int m, const KrylovOptions& opt,
-                               const MultiPreconditioner& precond,
-                               bool flexible) {
-  SerialKrylovOps<M> ops{A, precond, A.nrows, m};
-  SolveResult sr;
-  BlockKrylovResult res;
-  detail::gmres_loop<M>(ops, b, x, opt, flexible, sr, res.final_relres,
-                        res.col_iterations);
-  res.iterations = sr.iterations;
-  res.converged = sr.converged;
-  res.status = sr.status;
-  res.nonfinite_iteration = sr.nonfinite_iteration;
-  res.history = std::move(sr.history);
+/// Runs the serial loop on one column.
+KrylovResult serial_gmres(const CSRMatrix& A, const Vector& b, Vector& x,
+                          const KrylovOptions& opt,
+                          const Preconditioner& precond, bool flexible) {
+  const MultiPreconditioner block_precond = detail::as_block(precond);
+  SerialKrylovOps<1> ops{A, block_precond, A.nrows, 1};
+  KrylovResult res;
+  std::vector<double> relres;
+  std::vector<Int> col_iterations;
+  detail::gmres_loop<1>(ops, b, x, opt, flexible, res, relres,
+                        col_iterations);
   return res;
 }
 
@@ -70,16 +65,14 @@ KrylovResult fgmres(const CSRMatrix& A, const Vector& b, Vector& x,
                     const KrylovOptions& opt, const Preconditioner& precond) {
   require(Int(b.size()) == A.nrows && Int(x.size()) == A.nrows,
           "fgmres: size mismatch");
-  return detail::single_column(serial_gmres<1>(
-      A, b, x, 1, opt, detail::as_block(precond), /*flexible=*/true));
+  return serial_gmres(A, b, x, opt, precond, /*flexible=*/true);
 }
 
 KrylovResult gmres(const CSRMatrix& A, const Vector& b, Vector& x,
                    const KrylovOptions& opt, const Preconditioner& precond) {
   require(Int(b.size()) == A.nrows && Int(x.size()) == A.nrows,
           "gmres: size mismatch");
-  return detail::single_column(serial_gmres<1>(
-      A, b, x, 1, opt, detail::as_block(precond), /*flexible=*/false));
+  return serial_gmres(A, b, x, opt, precond, /*flexible=*/false);
 }
 
 BlockKrylovResult block_fgmres(const CSRMatrix& A, const MultiVector& B,
@@ -88,10 +81,15 @@ BlockKrylovResult block_fgmres(const CSRMatrix& A, const MultiVector& B,
   require(B.n == A.nrows && X.n == A.nrows && X.m == B.m,
           "block_fgmres: shape mismatch");
   require(B.m > 0, "block_fgmres: no right-hand sides");
-  return with_width(B.m, [&]<int M>() {
-    return serial_gmres<M>(A, B.data, X.data, B.m, opt, precond,
-                           /*flexible=*/true);
+  SolveResult sr;
+  BlockKrylovResult res;
+  with_width(B.m, [&]<int M>() {
+    SerialKrylovOps<M> ops{A, precond, A.nrows, B.m};
+    detail::gmres_loop<M>(ops, B.data, X.data, opt, /*flexible=*/true, sr,
+                          res.final_relres, res.col_iterations);
   });
+  res.take(std::move(sr));
+  return res;
 }
 
 }  // namespace hpamg

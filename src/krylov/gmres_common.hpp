@@ -13,6 +13,7 @@
 #include "amg/telemetry.hpp"
 #include "krylov/krylov.hpp"
 #include "matrix/vector_ops.hpp"
+#include "perfmodel/attrib.hpp"
 #include "support/common.hpp"
 #include "support/fault.hpp"
 #include "support/live.hpp"
@@ -109,8 +110,8 @@ void set_scaled_columns(const double* w, const std::vector<double>& scale,
 /// kMaxRecoveries, after which the solve stops with kNonFinite.
 ///
 /// `ops` supplies what differs between instances:
-///   Timer, kPoisonSite   phase stopwatch; fault site poked into A z (or
-///                        nullptr for none)
+///   kClock, kPoisonSite  the clock phases are probed on; fault site poked
+///                        into A z (or nullptr for none)
 ///   n, m, logs()         block shape; whether this instance logs
 ///   dot(a, b, out)       global per-column dots
 ///   residual_norms(x, b, r, norms2, pt)   r = b - A x and <r_j, r_j>
@@ -126,7 +127,6 @@ template <int M, class Ops>
 void gmres_loop(Ops& ops, const Vector& b, Vector& x,
                 const KrylovOptions& opt, bool flexible, SolveResult& res,
                 std::vector<double>& relres, std::vector<Int>& col_iterations) {
-  using Timer = typename Ops::Timer;
   const Int n = ops.n, m = M ? M : ops.m;
   const std::size_t mm = std::size_t(m);
   TRACE_SPAN(M != 1 ? "krylov.block_fgmres"
@@ -141,9 +141,8 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
 
   std::vector<double> normb(mm), beta(mm), h(mm), hn(mm);
   {
-    Timer t;
+    attrib::Probe probe("krylov.norm_b", "BLAS1", pt, Ops::kClock);
     ops.dot(b.data(), b.data(), normb.data());
-    pt.add("BLAS1", t.seconds());
   }
   for (double& nb : normb) nb = nb > 0.0 ? std::sqrt(nb) : 1.0;
   const double tel_normb = *std::min_element(normb.begin(), normb.end());
@@ -164,7 +163,7 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
 
   CycleTelemetryHook* tel = ops.telemetry();
   double prev_relres = -1.0;
-  Timer t_iter;
+  Timer t_iter(Ops::kClock);
 
   // Counts one recovery; false once the budget is spent.
   auto recover = [&](const char* what) {
@@ -205,9 +204,8 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
     if (nonfinite) {
       if (res.nonfinite_iteration < 0) res.nonfinite_iteration = total_it;
       if (x_best_relres >= 0.0 && recover("restored best restart iterate")) {
-        Timer t;
+        attrib::Probe probe("krylov.restore", "BLAS1", pt, Ops::kClock);
         copy(x_best, x);
-        pt.add("BLAS1", t.seconds());
         continue;
       }
       failed = true;
@@ -217,7 +215,7 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
     if (num_live == 0 || total_it >= opt.max_iterations || deadline_hit)
       break;
 
-    Timer t_start;
+    attrib::Probe restart_probe("krylov.restart", "BLAS1", pt, Ops::kClock);
     if (x_best_relres < 0.0 || worst < x_best_relres) {
       copy(x, x_best);
       x_best_relres = worst;
@@ -226,7 +224,7 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
     std::vector<HessenbergLS> ls;
     ls.reserve(mm);
     for (std::size_t j = 0; j < mm; ++j) ls.emplace_back(restart, beta[j]);
-    pt.add("BLAS1", t_start.seconds());
+    restart_probe.finish();
     std::vector<Int> jdone(mm, 0);  // per-column Arnoldi depth
 
     bool poisoned = false;
@@ -248,15 +246,14 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
       MultiVector& Zj = Z[flexible ? std::size_t(j_in) : 0];
       ops.precondition(Vj, Zj, pt);
       {
-        Timer t;
+        attrib::Probe probe("krylov.apply", "SpMV", pt, Ops::kClock);
         ops.apply(Zj.data, W.data);
-        pt.add("SpMV", t.seconds());
       }
       if constexpr (Ops::kPoisonSite != nullptr) {
         if (fault::enabled())
           fault::maybe_poison(Ops::kPoisonSite, w, W.data.size());
       }
-      Timer t_arnoldi;
+      attrib::Probe arnoldi("krylov.arnoldi", "BLAS1", pt, Ops::kClock);
       for (Int i = 0; i <= j_in; ++i) {
         const double* vi = V[std::size_t(i)].data.data();
         ops.dot(w, vi, h.data());
@@ -288,7 +285,7 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
           --num_live;
         }
       }
-      pt.add("BLAS1", t_arnoldi.seconds());
+      arnoldi.finish();
       // The worst column decides when the block solve finishes.
       const double it_relres = worst_column(relres);
       res.history.push_back(it_relres);
@@ -316,7 +313,7 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
 
     // x_j += sum_i y_i Z_i(:, j) (flexible), or w_j = sum_i y_i V_i(:, j)
     // then x += M^{-1} w; each column at its own depth.
-    Timer t_update;
+    attrib::Probe update("krylov.update", "BLAS1", pt, Ops::kClock);
     double* acc = flexible ? x.data() : w;
     if (!flexible) zero_n(w, W.data.size());
     for (std::size_t j = 0; j < mm; ++j) {
@@ -333,14 +330,13 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
         });
       }
     }
-    pt.add("BLAS1", t_update.seconds());
+    update.finish();
     if (!flexible) {
       ops.precondition(W, Z[0], pt);
-      Timer t;
+      attrib::Probe probe("krylov.update", "BLAS1", pt, Ops::kClock);
       const std::vector<double> ones(mm, 1.0);
       block::axpy<M>(ones.data(), Z[0].data.data(), x.data(), n, m, nullptr,
                      nullptr);
-      pt.add("BLAS1", t.seconds());
     }
   }
 
@@ -357,18 +353,6 @@ void gmres_loop(Ops& ops, const Vector& b, Vector& x,
 inline MultiPreconditioner as_block(const Preconditioner& p) {
   if (!p) return nullptr;
   return [&p](const MultiVector& R, MultiVector& Z) { p(R.data, Z.data); };
-}
-
-/// The single-column result of an m = 1 block solve.
-inline KrylovResult single_column(BlockKrylovResult&& br) {
-  KrylovResult r;
-  r.iterations = br.iterations;
-  r.final_relres = worst_column(br.final_relres);
-  r.converged = br.converged;
-  r.status = br.status;
-  r.nonfinite_iteration = br.nonfinite_iteration;
-  r.history = std::move(br.history);
-  return r;
 }
 
 }  // namespace detail

@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "amg/multivector.hpp"
+#include "amg/solver.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/vector_ops.hpp"
 #include "support/counters.hpp"
@@ -21,23 +22,14 @@ namespace hpamg {
 /// being distinct; z is overwritten).
 using Preconditioner = std::function<void(const Vector& r, Vector& z)>;
 
-struct KrylovResult {
-  Int iterations = 0;
-  double final_relres = 0.0;
-  bool converged = false;
-  /// Why the solve stopped (support/error.hpp): kOk, kRecovered
-  /// ((F)GMRES converged after discarding a poisoned basis or restoring a
-  /// restart iterate), kMaxIterations, kDeadlineExceeded, kNonFinite
-  /// (NaN/Inf residual or basis vector, recovery exhausted), kStagnated
-  /// (exact breakdown — no further progress possible).
-  /// converged == status_ok().
-  Status status = Status::kMaxIterations;
-  /// First iteration that produced a non-finite quantity; -1 if none.
-  Int nonfinite_iteration = -1;
-  /// Relative residual after each iteration (worst column for the block
-  /// solvers); empty when x converged on entry.
-  std::vector<double> history;
-};
+/// A Krylov solve reports what the loop recorded: status is kOk,
+/// kRecovered ((F)GMRES converged after discarding a poisoned basis or
+/// restoring a restart iterate, with `recoveries` and `events`),
+/// kMaxIterations, kDeadlineExceeded, kNonFinite (NaN/Inf residual or
+/// basis vector, recovery exhausted) or kStagnated (exact breakdown).
+/// (F)GMRES also fills solve_times (SpMV / BLAS1); history is empty when
+/// x converged on entry.
+using KrylovResult = SolveResult;
 
 struct KrylovOptions {
   double rtol = 1e-7;
@@ -80,21 +72,11 @@ struct KrylovOptions {
 using MultiPreconditioner =
     std::function<void(const MultiVector& R, MultiVector& Z)>;
 
-struct BlockKrylovResult {
-  Int iterations = 0;      ///< iterations shared across columns
-  bool converged = false;  ///< every column reached rtol
-  /// kOk (all converged), kRecovered (all converged after >= 1 recovery:
-  /// a poisoned column discards the batch's basis for that restart cycle),
-  /// kMaxIterations, kDeadlineExceeded, kNonFinite (recovery exhausted),
-  /// kStagnated (every unconverged column broke down).
-  Status status = Status::kMaxIterations;
-  Int nonfinite_iteration = -1;
-  std::vector<double> final_relres;  ///< per column
-  /// Per column: iteration at which it converged (0 = on entry, -1 = not).
-  std::vector<Int> col_iterations;
-  /// Worst column's relative residual after each iteration.
-  std::vector<double> history;
-};
+/// Iterations are shared across columns; status, recoveries and history
+/// follow the worst column (a poisoned column discards the batch's basis
+/// for that restart cycle; kStagnated means every unconverged column broke
+/// down).
+using BlockKrylovResult = MultiSolveResult;
 
 /// Block PCG: per-column alpha/beta/rho recurrences; converged or
 /// broken-down columns freeze (their iterate stops changing) while the

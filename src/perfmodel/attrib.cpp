@@ -7,6 +7,7 @@
 
 #include "perfmodel/network.hpp"
 #include "support/metrics.hpp"
+#include "support/trace.hpp"
 
 namespace hpamg::attrib {
 
@@ -180,40 +181,48 @@ bool load_calibration_json(std::string_view json_text, MachineModel* mm,
   return true;
 }
 
-Scope::Scope(std::string_view kernel, int level, const WorkCounters* wc,
+Probe::Probe(const char* kernel, int level, const char* phase,
+             PhaseTimes* pt, double* level_seconds, const WorkCounters* wc,
              Clock clock)
-    : level_(level), wc_(wc), clock_(clock) {
-  if (!metrics::enabled()) return;  // keep the off-path to one relaxed load
-  active_ = true;
-  kernel_.assign(kernel.data(), kernel.size());
-  if (wc_ != nullptr) start_ = *wc_;
-  if (clock_ == Clock::kCpu)
-    cpu_.reset();
-  else
-    wall_.reset();
+    : kernel_(kernel), phase_(phase), pt_(pt), level_seconds_(level_seconds),
+      wc_(wc), level_(level), clock_(clock), record_(metrics::enabled()),
+      trace_(trace::enabled()) {
+  active_ = pt_ != nullptr || level_seconds_ != nullptr || record_ || trace_;
+  if (!active_) return;
+  if (record_ && wc_ != nullptr) start_ = *wc_;
+  if (trace_ && clock_ == Clock::kCpu) wall0_ = clock_ns(Clock::kWall);
+  t0_ = clock_ns(clock_);
+  if (clock_ == Clock::kWall) wall0_ = t0_;
 }
 
-void Scope::set_work(const WorkCounters& wc) {
+void Probe::set_work(const WorkCounters& wc) {
   analytic_ = wc;
   analytic_set_ = true;
 }
 
-Scope::~Scope() {
+void Probe::finish() {
   if (!active_) return;
-  const double sec =
-      clock_ == Clock::kCpu ? cpu_.seconds() : wall_.seconds();
-  WorkCounters delta;
-  if (wc_ != nullptr) {
-    delta = *wc_;
-    delta.flops -= start_.flops;
-    delta.bytes_read -= start_.bytes_read;
-    delta.bytes_written -= start_.bytes_written;
-    delta.branches -= start_.branches;
-    delta.hash_probes -= start_.hash_probes;
-  } else if (analytic_set_) {
-    delta = analytic_;
+  active_ = false;
+  const std::uint64_t t1 = clock_ns(clock_);
+  const double sec = double(t1 - t0_) * 1e-9;
+  if (pt_ != nullptr) pt_->add(phase_, sec);
+  if (level_seconds_ != nullptr) *level_seconds_ += sec;
+  if (record_ && (wc_ != nullptr || analytic_set_)) {
+    WorkCounters delta = analytic_;
+    if (wc_ != nullptr) {
+      delta = *wc_;
+      delta.flops -= start_.flops;
+      delta.bytes_read -= start_.bytes_read;
+      delta.bytes_written -= start_.bytes_written;
+      delta.branches -= start_.branches;
+      delta.hash_probes -= start_.hash_probes;
+    }
+    record(kernel_, level_, sec, delta);
   }
-  record(kernel_, level_, sec, delta);
+  if (trace_)
+    trace::complete(kernel_, wall0_,
+                    clock_ == Clock::kWall ? t1 : clock_ns(Clock::kWall),
+                    level_);
 }
 
 }  // namespace hpamg::attrib

@@ -1,7 +1,8 @@
 // Roofline attribution: achieved vs. modeled efficiency per kernel.
 //
-// Every instrumented kernel invocation contributes (measured seconds,
-// WorkCounters) to a process-global registry keyed by (kernel, level).
+// Every probed phase with work (attrib::Probe, below: the one timing path
+// of setup and solve) contributes (measured seconds, WorkCounters) to a
+// process-global registry keyed by (kernel, level).
 // snapshot() joins the accumulated work with a MachineModel's rooflines:
 //
 //   achieved_bw  = bytes / seconds
@@ -73,36 +74,55 @@ void publish_metrics(const std::vector<RooflineEntry>& entries);
 bool load_calibration_json(std::string_view json_text, MachineModel* mm,
                            NetworkModel* nm, std::string* err);
 
-/// RAII measurement scope. Snapshots *wc (when non-null) and a timer at
-/// construction, records the delta at destruction. When `wc` is null the
-/// caller supplies analytic counters via set_work() (distributed kernels
-/// do not thread WorkCounters; their callers estimate bytes/flops from
-/// matrix shape instead). Inert unless metrics::enabled() at construction.
-class Scope {
+/// The one timing probe: every timed phase of a setup or solve is one
+/// Probe scope. It reads `clock` once at entry and once at exit (wall time
+/// on the serial paths, this thread's CPU time on simmpi ranks) and feeds
+/// that one measurement s to every sink it was given:
+///   - pt->add(phase, s), the Fig 5 / Fig 7 breakdown;
+///   - *level_seconds += s, a loaned CycleTelemetryHook's level slot;
+///   - record(kernel, level, s, work) when metrics::enabled() at entry and
+///     the probe has work: the delta of *wc over the scope, or set_work();
+///   - one trace span named `kernel` when trace::enabled() at entry (a kCpu
+///     probe reads the wall clock for it too, only then).
+/// With no sink on it reads no clock. `kernel` and `phase` must outlive the
+/// trace (string literals); `level` is -1 for unleveled kernels.
+class Probe {
  public:
-  enum class Clock { kWall, kCpu };
-
-  Scope(std::string_view kernel, int level, const WorkCounters* wc,
+  Probe(const char* kernel, int level, const char* phase, PhaseTimes* pt,
+        double* level_seconds, const WorkCounters* wc,
         Clock clock = Clock::kWall);
-  ~Scope();
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
+  /// An unleveled probe that feeds only `pt` (and the trace).
+  Probe(const char* kernel, const char* phase, PhaseTimes& pt,
+        Clock clock = Clock::kWall)
+      : Probe(kernel, -1, phase, &pt, nullptr, nullptr, clock) {}
+  ~Probe() { finish(); }
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
 
-  /// Analytic work for wc-less kernels; ignored when a live counter
-  /// pointer was given.
+  /// Analytic work for kernels that do not thread WorkCounters (the
+  /// distributed ones estimate bytes/flops from matrix shape); ignored
+  /// when a live counter pointer was given.
   void set_work(const WorkCounters& wc);
+  /// Ends the probe now instead of at scope exit (sequential phases that
+  /// share one scope). The destructor then does nothing.
+  void finish();
 
  private:
-  std::string kernel_;
-  int level_;
-  const WorkCounters* wc_ = nullptr;
-  WorkCounters start_;     ///< *wc_ at construction
+  const char* kernel_;
+  const char* phase_;
+  PhaseTimes* pt_;
+  double* level_seconds_;
+  const WorkCounters* wc_;
+  WorkCounters start_;     ///< *wc_ at entry
   WorkCounters analytic_;  ///< set_work() value
-  bool analytic_set_ = false;
-  bool active_ = false;
+  int level_;
   Clock clock_;
-  Timer wall_;
-  CpuTimer cpu_;
+  bool active_ = false;
+  bool record_ = false;  ///< metrics on at entry
+  bool analytic_set_ = false;
+  bool trace_ = false;   ///< tracing on at entry
+  std::uint64_t t0_ = 0;       ///< clock_ns(clock_) at entry
+  std::uint64_t wall0_ = 0;    ///< clock_ns(kWall) at entry, for the span
 };
 
 }  // namespace hpamg::attrib

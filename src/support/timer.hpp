@@ -1,10 +1,11 @@
-// Wall-clock timing and a named-phase registry used by the AMG solver and
-// benchmarks to produce the per-kernel breakdowns of Fig 5 / Fig 7.
+// Clocks, a stopwatch, and the named-phase registry behind the per-kernel
+// breakdowns of Fig 5 / Fig 7 (attrib::Probe, perfmodel/attrib.hpp, is
+// what fills it).
 #pragma once
 
 #include <ctime>
 
-#include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -12,38 +13,34 @@
 
 namespace hpamg {
 
-/// Per-thread CPU-time stopwatch. Inside simmpi (many rank-threads
-/// timesharing the host's cores) this measures a rank's actual compute
-/// work, excluding time spent blocked on receives or descheduled — the
-/// quantity a dedicated node would spend.
-class CpuTimer {
- public:
-  CpuTimer() { reset(); }
-  void reset() { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &start_); }
-  double seconds() const {
-    timespec now;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
-    return double(now.tv_sec - start_.tv_sec) +
-           1e-9 * double(now.tv_nsec - start_.tv_nsec);
-  }
+/// The clocks phases are timed in. kWall is monotonic wall time (the clock
+/// the tracer stamps events with). kCpu is the calling thread's CPU time:
+/// inside simmpi (many rank-threads timesharing the host's cores) it
+/// measures a rank's actual compute work, excluding time spent blocked on
+/// receives or descheduled — the quantity a dedicated node would spend.
+enum class Clock { kWall, kCpu };
 
- private:
-  timespec start_;
-};
+/// Nanoseconds on `c` from an arbitrary origin; only differences of two
+/// readings on the same clock (and, for kCpu, the same thread) mean
+/// anything.
+inline std::uint64_t clock_ns(Clock c) {
+  timespec ts;
+  clock_gettime(c == Clock::kCpu ? CLOCK_THREAD_CPUTIME_ID : CLOCK_MONOTONIC,
+                &ts);
+  return std::uint64_t(ts.tv_sec) * 1000000000u + std::uint64_t(ts.tv_nsec);
+}
 
-/// Monotonic wall-clock stopwatch.
+/// Stopwatch on one clock (wall time unless told otherwise).
 class Timer {
  public:
-  Timer() { reset(); }
-  void reset() { start_ = clock::now(); }
+  explicit Timer(Clock c = Clock::kWall) : clock_(c) { reset(); }
+  void reset() { start_ = clock_ns(clock_); }
   /// Seconds since construction or last reset().
-  double seconds() const {
-    return std::chrono::duration<double>(clock::now() - start_).count();
-  }
+  double seconds() const { return double(clock_ns(clock_) - start_) * 1e-9; }
 
  private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point start_;
+  Clock clock_;
+  std::uint64_t start_ = 0;
 };
 
 /// Accumulates seconds per named phase (e.g. "RAP", "Interp", "GS").
@@ -68,21 +65,6 @@ class PhaseTimes {
 
  private:
   std::map<std::string, double> times_;
-};
-
-/// RAII helper: adds elapsed time to a phase on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimes& pt, std::string phase)
-      : pt_(pt), phase_(std::move(phase)) {}
-  ~ScopedPhase() { pt_.add(phase_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimes& pt_;
-  std::string phase_;
-  Timer timer_;
 };
 
 }  // namespace hpamg

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "support/live.hpp"
 #include "support/report.hpp"
+#include "support/timer.hpp"
 
 namespace hpamg::trace {
 
@@ -21,13 +21,6 @@ std::atomic<bool> g_enabled{false};
 namespace {
 
 constexpr std::size_t kDefaultCapacity = 1u << 15;
-
-std::uint64_t steady_ns() {
-  return std::uint64_t(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One thread's recording target. Owned by the registry (so it outlives
 /// the thread — simmpi rank threads exit before export). Two access
@@ -144,7 +137,7 @@ void enable(std::size_t events_per_thread) {
     if (events_per_thread > 0) R.capacity = events_per_thread;
   }
   std::uint64_t expected = 0;
-  R.epoch_ns.compare_exchange_strong(expected, steady_ns());
+  R.epoch_ns.compare_exchange_strong(expected, clock_ns(Clock::kWall));
   detail::g_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -163,7 +156,8 @@ void reset() {
 }
 
 std::uint64_t now_ns() {
-  return steady_ns() - registry().epoch_ns.load(std::memory_order_relaxed);
+  return clock_ns(Clock::kWall) -
+         registry().epoch_ns.load(std::memory_order_relaxed);
 }
 
 std::uint64_t next_flow_id() {
@@ -246,6 +240,24 @@ void flow_out(const char* name, std::uint64_t id, int peer,
 void flow_in(const char* name, std::uint64_t id, int peer,
              std::int64_t bytes) {
   emit_flow(Event::Kind::kFlowIn, name, id, peer, bytes);
+}
+
+void complete(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
+              std::int64_t level) {
+  const std::uint64_t epoch =
+      registry().epoch_ns.load(std::memory_order_relaxed);
+  Event e;
+  e.kind = Event::Kind::kSpan;
+  e.name = name;
+  e.cat = "kernel";
+  e.ts_ns = begin_ns > epoch ? begin_ns - epoch : 0;
+  e.dur_ns = end_ns - begin_ns;
+  if (level >= 0) {
+    e.arg_name[0] = "level";
+    e.arg_val[0] = level;
+    e.nargs = 1;
+  }
+  detail::emit(e);
 }
 
 void Span::begin(const char* name, const char* cat) {

@@ -105,6 +105,12 @@ void flow_out(const char* name, std::uint64_t id, int peer,
               std::int64_t bytes);
 void flow_in(const char* name, std::uint64_t id, int peer,
              std::int64_t bytes);
+/// Records a finished span from two clock_ns(Clock::kWall) readings
+/// (support/timer.hpp) the caller already took — attrib::Probe's one clock
+/// read. A nonnegative `level` is attached as the "level" arg. Records even
+/// if tracing was disabled after `begin_ns`, like a Span.
+void complete(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
+              std::int64_t level);
 
 /// RAII scoped duration event. Construction snapshots the clock; the
 /// destructor records one complete ("X") event. When tracing is disabled
@@ -133,13 +139,6 @@ class Span {
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-
-  /// Ends the span now instead of at scope exit (for sequential phases
-  /// that share one scope). Safe to call when inactive; the destructor
-  /// then does nothing.
-  void finish() {
-    if (active_) end();
-  }
 
   /// Attaches an argument after construction (e.g. bytes known only once
   /// a receive completes). Ignored beyond kMaxArgs or while inactive.

@@ -1,11 +1,14 @@
-// Performance-attribution layer: roofline closed forms (perfmodel/attrib),
+// Performance-attribution layer: roofline closed forms (perfmodel/attrib)
+// and their agreement with the solve's per-level telemetry,
 // wait-state classification over synthetic traces (support/trace_analyze),
 // per-iteration telemetry entries and their JSON round-trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "amg/solver.hpp"
 #include "amg/telemetry.hpp"
+#include "gen/stencil.hpp"
 #include "perfmodel/attrib.hpp"
 #include "perfmodel/network.hpp"
 #include "support/metrics.hpp"
@@ -89,6 +92,39 @@ TEST(Attrib, CallsAccumulateAcrossRecords) {
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(bytes, 3000u);
   attrib::reset();
+}
+
+TEST(Attrib, LevelSecondsAreTheLevelsRooflineSeconds) {
+  // Each cycle phase is one probe: the per-iteration level seconds and the
+  // roofline's per-(kernel, level) seconds are the same clock readings, so
+  // on every non-coarsest level they agree up to summation order.
+  const CSRMatrix A = lap2d_5pt(48, 48);
+  AMGSolver amg(A, {});
+  metrics::reset();
+  metrics::enable();
+  attrib::reset();
+  Vector b(std::size_t(A.nrows), 1.0), x(std::size_t(A.nrows), 0.0);
+  const SolveResult sr = amg.solve(b, x, 1e-8, 100);
+  const std::vector<RooflineEntry> roof = attrib::snapshot();
+  attrib::reset();
+  metrics::disable();
+  metrics::reset();
+  ASSERT_TRUE(sr.converged);
+  ASSERT_FALSE(sr.telemetry.empty());
+  const Int nl = amg.hierarchy().num_levels();
+  ASSERT_GE(nl, 3);
+  for (Int l = 0; l + 1 < nl; ++l) {
+    double telemetry = 0.0, roofline = 0.0;
+    for (const IterationReportEntry& it : sr.telemetry)
+      telemetry += it.level_seconds[std::size_t(l)];
+    for (const RooflineEntry& e : roof)
+      if (e.level == l && (e.kernel == "smoother" ||
+                           e.kernel == "residual_restrict" ||
+                           e.kernel == "prolong"))
+        roofline += e.seconds;
+    EXPECT_GT(roofline, 0.0) << "level " << l;
+    EXPECT_NEAR(telemetry, roofline, 1e-12 * roofline) << "level " << l;
+  }
 }
 
 TEST(Attrib, CalibrationLoaderAppliesOnlyGivenKeys) {
@@ -258,9 +294,9 @@ TEST(TraceAnalyze, RejectsNonTraceJson) {
 TEST(Telemetry, IterationEntryClosedForm) {
   CycleTelemetryHook hook;
   hook.begin_cycle(3);
-  hook.add(0, 0.5);
-  hook.add(2, 0.25);
-  hook.add(7, 1.0);  // out of range: ignored, not UB
+  *hook.level_slot(0) += 0.5;
+  *hook.level_slot(2) += 0.25;
+  EXPECT_EQ(hook.level_slot(7), nullptr);  // out of range: no slot, not UB
   hook.presmooth_norm2 = 4.0;  // ||r|| = 2
   const IterationReportEntry e =
       make_iteration_entry(3, 0.01, 0.1, 0.75, 10.0, &hook);

@@ -112,6 +112,10 @@ TEST(KrylovExtra, FgmresRecoversFromOnePoisonedPreconditionerApply) {
   EXPECT_EQ(r.status, Status::kRecovered);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.nonfinite_iteration, 3);
+  // The result keeps what the loop recorded: the incident and the phases.
+  EXPECT_EQ(r.recoveries, 1);
+  EXPECT_EQ(r.events.size(), 1u);
+  EXPECT_GT(r.solve_times.get("SpMV"), 0.0);
   for (double v : x) ASSERT_TRUE(std::isfinite(v));
   EXPECT_LT(test::relative_residual(A, x, b), o.rtol);
 }

@@ -1,6 +1,7 @@
-// Coverage for the smaller utility surfaces: phase timing, work counters,
-// distributed-matrix validation paths, halo error handling, vector
-// gathers, and the solver's convergence-factor metric.
+// Coverage for the smaller utility surfaces: phase timing and the probe
+// that feeds it, work counters, distributed-matrix validation paths, halo
+// error handling, vector gathers, and the solver's convergence-factor
+// metric.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,8 +10,11 @@
 #include "dist/dist_matrix.hpp"
 #include "dist/halo.hpp"
 #include "gen/stencil.hpp"
+#include "perfmodel/attrib.hpp"
 #include "support/counters.hpp"
+#include "support/metrics.hpp"
 #include "support/timer.hpp"
+#include "support/trace.hpp"
 #include "test_util.hpp"
 
 namespace hpamg {
@@ -32,19 +36,54 @@ TEST(PhaseTimes, AccumulateMergeClear) {
   EXPECT_DOUBLE_EQ(b.total(), 0.0);
 }
 
-TEST(PhaseTimes, ScopedPhaseRecordsElapsed) {
+TEST(Probe, OneReadingFeedsEverySink) {
+  // With metrics and tracing on, the phase breakdown, the telemetry level
+  // slot, the roofline registry and the trace span all carry the one
+  // measurement the probe took.
+  metrics::enable();
+  attrib::reset();
+  trace::disable();
+  trace::reset();
+  trace::enable();
   PhaseTimes pt;
+  double level_seconds = 0.0;
+  WorkCounters wc;
   {
-    ScopedPhase sp(pt, "work");
+    attrib::Probe probe("probe.test", 2, "work", &pt, &level_seconds, &wc);
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += i;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
+    wc.bytes_read += 4096;
   }
-  EXPECT_GT(pt.get("work"), 0.0);
+  trace::disable();
+  const double sec = pt.get("work");
+  EXPECT_GT(sec, 0.0);
+  EXPECT_EQ(level_seconds, sec);
+  const std::vector<RooflineEntry> roof = attrib::snapshot();
+  ASSERT_EQ(roof.size(), 1u);
+  EXPECT_EQ(roof[0].kernel, "probe.test");
+  EXPECT_EQ(roof[0].level, 2);
+  EXPECT_EQ(roof[0].bytes, 4096u);
+  EXPECT_EQ(roof[0].seconds, sec);
+  const JsonValue doc = json_parse(trace::export_chrome_json());
+  const JsonValue* span = nullptr;
+  for (const JsonValue& e : doc.find("traceEvents")->items)
+    if (const JsonValue* name = e.find("name");
+        name != nullptr && name->text == "probe.test")
+      span = &e;
+  ASSERT_NE(span, nullptr);
+  EXPECT_DOUBLE_EQ(span->find("args")->find("level")->number, 2.0);
+  // dur is exported in microseconds; the probe's seconds are the same
+  // nanosecond count, so the two agree to ns rounding.
+  EXPECT_NEAR(span->find("dur")->number * 1e3, sec * 1e9, 1.0);
+  trace::reset();
+  attrib::reset();
+  metrics::disable();
+  metrics::reset();
 }
 
 TEST(Timers, WallAndCpuAdvance) {
   Timer w;
-  CpuTimer c;
+  Timer c(Clock::kCpu);
   volatile double sink = 0;
   for (int i = 0; i < 2000000; ++i) sink += i;
   EXPECT_GT(w.seconds(), 0.0);

@@ -239,8 +239,11 @@ TEST(Race, SimmpiDistributedSolve) {
   // setup (coarsen/interp/RAP exchanges), FGMRES solve (halo + allreduce
   // per iteration), teardown. With OMP_NUM_THREADS >= 4 each rank's
   // kernels also spawn OpenMP teams, so rank-level and team-level
-  // parallelism overlap — the paper's node x core decomposition.
+  // parallelism overlap — the paper's node x core decomposition. Tracing
+  // is on too, so every rank's probes emit spans concurrently.
   metrics::enable();
+  trace::reset();
+  trace::enable();
   const CSRMatrix A = lap2d_5pt(26, 26);
   simmpi::run(4, [&](simmpi::Comm& c) {
     DistMatrix dA = distribute_csr(c, A);
@@ -250,6 +253,9 @@ TEST(Race, SimmpiDistributedSolve) {
     const DistSolveResult res = dist_fgmres(c, dA, dh, b, x, 1e-8, 40, 20);
     EXPECT_TRUE(status_ok(res.status)) << status_name(res.status);
   });
+  trace::disable();
+  EXPECT_GT(trace::stats().recorded, 0u);
+  trace::reset();
   metrics::disable();
   metrics::reset();
 }
