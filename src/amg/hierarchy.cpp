@@ -133,6 +133,100 @@ CSRMatrix build_interp_2stage(const CSRMatrix& A, const CSRMatrix& S,
   return truncate_interpolation(P, o.truncation, wc);
 }
 
+/// (Re)builds level L's smoother plan for o.smoother / o.variant from L.A.
+/// The optimized hybrid GS plan reads L.A in place, so every assignment of
+/// L.A is followed by this.
+void build_smoother_plans(Level& L, const AMGOptions& o) {
+  L.gs_base.reset();
+  L.gs_opt.reset();
+  L.lexgs.reset();
+  L.mcgs.reset();
+  switch (o.smoother) {
+    case SmootherKind::kHybridGS:
+      if (o.variant == Variant::kOptimized)
+        L.gs_opt = std::make_unique<HybridGSOptimized>(L.A, o.gs_partitions);
+      else
+        L.gs_base = std::make_unique<HybridGSBaseline>(L.A, o.gs_partitions);
+      break;
+    case SmootherKind::kLexGS:
+      L.lexgs = std::make_unique<LexGS>(L.A);
+      break;
+    case SmootherKind::kMultiColorGS:
+      L.mcgs = std::make_unique<MultiColorGS>(L.A);
+      break;
+    case SmootherKind::kJacobi:
+      break;
+  }
+}
+
+/// The per-level step of setup and refresh, once L.A is in place: the
+/// Galerkin product for the variant (returned sorted, the next level's
+/// operator) and L's smoother plans. Setup hands over the new interpolation
+/// P to keep (optimized: Pf = P[nc:, :] and Pf^T, the solve's R; baseline:
+/// P); refresh passes none and reuses the frozen transfers.
+CSRMatrix level_step(const AMGOptions& o, Level& L, int l, CSRMatrix* P,
+                     PhaseTimes* pt, WorkCounters* wc) {
+  CSRMatrix A_next;
+  {
+    attrib::Probe rap("setup.rap", l, "RAP", pt, nullptr, wc);
+    if (o.variant == Variant::kOptimized) {
+      if (P) {
+        L.Pf = csr_block(*P, L.nc, L.n, 0, L.nc);
+        L.PfT = transpose_parallel(L.Pf, wc);
+      }
+      A_next = rap_cf_block(L.A, L.Pf, L.PfT, L.nc, {}, wc);
+    } else {
+      if (P) L.P = std::move(*P);
+      CSRMatrix R = transpose_serial(L.P, wc);  // baseline: not kept
+      A_next = rap_fused_hypre(R, L.A, L.P, wc);
+    }
+    A_next.sort_rows();
+  }
+  HPAMG_CHECK_INVARIANT(
+      check::Depth::kCheap,
+      check::csr_well_formed(A_next, "Galerkin coarse operator"));
+  HPAMG_CHECK_INVARIANT(check::Depth::kFull,
+                        check::csr_finite(A_next, "Galerkin coarse operator"));
+  attrib::Probe plan("setup.smoother_plan", l, "Setup_etc", pt, nullptr, wc);
+  build_smoother_plans(L, o);
+  return A_next;
+}
+
+/// The coarsest-level step of setup and refresh: installs A as the last
+/// level's operator, its degenerate diagonals regularized (with an event),
+/// and factors it, or builds smoother plans when it is too large for a
+/// dense LU.
+void coarsest_step(Hierarchy& h, CSRMatrix A, PhaseTimes* pt,
+                   WorkCounters* wc) {
+  Level& C = h.levels.back();
+  attrib::Probe probe("setup.coarse_solver", int(h.num_levels() - 1),
+                      "Setup_etc", pt, nullptr, wc);
+  double dmax = 0.0;
+  if (Int bad = count_degenerate_diag(A, &dmax); bad > 0) {
+    // Regularized coarse solve: shift the broken diagonals so the LU /
+    // smoother stay finite. The coarsest operator is a preconditioner
+    // component, so a tiny perturbation costs iterations, not
+    // correctness; the incident is recorded for the `status` block.
+    const double shift = dmax > 0.0 ? 1e-8 * dmax : 1.0;
+    A = regularize_diagonal(A, shift);
+    std::string ev = "regularized coarse solve: " + std::to_string(bad) +
+                     " degenerate diagonal(s) shifted on the coarsest "
+                     "level";
+    HPAMG_LOG_WARN("amg setup: %s", ev.c_str());
+    h.events.push_back(std::move(ev));
+  }
+  C.A = std::move(A);
+  C.n = C.A.nrows;
+  if (C.n <= h.opts.coarse_size * 4 && C.n <= 2048) {
+    h.coarse_lu = LUSolver(C.A);
+  } else {
+    // Too large for a dense factorization (max_levels capped the
+    // hierarchy): approximate with smoothing sweeps, as the paper notes
+    // is common for the coarsest level.
+    build_smoother_plans(C, h.opts);
+  }
+}
+
 }  // namespace
 
 double Hierarchy::operator_complexity() const {
@@ -147,16 +241,6 @@ double Hierarchy::grid_complexity() const {
   double total = 0.0;
   for (const Level& l : levels) total += double(l.n);
   return total / double(levels[0].n);
-}
-
-std::uint64_t Hierarchy::footprint_bytes() const {
-  std::uint64_t bytes = 0;
-  for (const Level& l : levels) {
-    bytes += l.A.footprint_bytes() + l.P.footprint_bytes() +
-             l.Pf.footprint_bytes() + l.PfT.footprint_bytes();
-    if (l.gs_opt) bytes += l.gs_opt->footprint_bytes();
-  }
-  return bytes;
 }
 
 std::vector<LevelMemory> Hierarchy::memory_by_level() const {
@@ -196,6 +280,11 @@ Status check_hierarchy(const Hierarchy& h) {
                       std::to_string(L.A.nrows) + " x " +
                       std::to_string(L.A.ncols) + ", expected square " +
                       std::to_string(L.n));
+    // The optimized GS plan reads the level operator in place.
+    if (L.gs_opt && !L.gs_opt->views(L.A))
+      return fail(Status::kInvalidInput,
+                  "check: " + where +
+                      ": hybrid GS plan does not view the level operator");
     const bool coarsest = l + 1 == h.levels.size();
     if (coarsest) continue;
     // P/R dimension agreement with this level's (n, nc).
@@ -283,9 +372,7 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
                           wc);
       L.perm = cf_permutation(cf);
       L.A = permute_symmetric(A_work, L.perm);
-      L.A.sort_rows();
       S_work = permute_symmetric(S_work, L.perm);
-      S_work.sort_rows();
       CFMarker cf_perm(n);
       for (Int i = 0; i < n; ++i) cf_perm[i] = i < nc ? 1 : -1;
       if (aggressive) {
@@ -316,33 +403,15 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
     HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
                           check::interp_shape(P, n, nc, "level interp P"));
 
-    // ---- Galerkin product ----
-    attrib::Probe rap("setup.rap", int(l), "RAP", pt, nullptr, wc);
-    CSRMatrix A_next;
-    if (optimized) {
-      // P = [I; Pf] after CF reordering: keep only the fine block and its
-      // transpose (R reused by the solve phase), and run the
-      // identity-block RAP.
-      L.Pf = csr_block(P, nc, n, 0, nc);
-      L.PfT = transpose_parallel(L.Pf, wc);
-      A_next = rap_cf_block(L.A, L.Pf, L.PfT, nc, {}, wc);
-    } else {
-      L.P = std::move(P);
-      CSRMatrix R = transpose_serial(L.P, wc);  // baseline: not kept
-      A_next = rap_fused_hypre(R, L.A, L.P, wc);
-    }
-    A_next.sort_rows();
-    rap.finish();
-    HPAMG_CHECK_INVARIANT(
-        check::Depth::kCheap,
-        check::csr_well_formed(A_next, "Galerkin coarse operator"));
-    HPAMG_CHECK_INVARIANT(check::Depth::kFull,
-                          check::csr_finite(A_next, "Galerkin coarse operator"));
+    // ---- Galerkin product and smoother plans ----
+    CSRMatrix A_next = level_step(opts, L, int(l), &P, pt, wc);
+    h.stats.push_back(
+        {L.n, L.A.nnz(), L.nc, optimized ? L.Pf.nnz() + nc : L.P.nnz()});
 
     // ---- Degenerate coarse operator -> cap the hierarchy here ----
     // A Galerkin product with zero/non-finite diagonal rows cannot be
     // smoothed or factored; descending further only compounds it. Stop
-    // coarsening and let the coarsest-level handling below regularize.
+    // coarsening and let the coarsest-level step regularize.
     bool cap_levels = false;
     if (Int bad = count_degenerate_diag(A_next, nullptr); bad > 0) {
       cap_levels = true;
@@ -353,54 +422,16 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
       HPAMG_LOG_WARN("amg setup: %s", ev.c_str());
       h.events.push_back(std::move(ev));
     }
-
-    // ---- Smoother plans ----
-    {
-      attrib::Probe probe("setup.smoother_plan", int(l), "Setup_etc", pt,
-                          nullptr, wc);
-      build_smoother_plans(L, opts);
-      h.stats.push_back({L.n, L.A.nnz(), L.nc,
-                         optimized ? L.Pf.nnz() + nc : L.P.nnz()});
-    }
     h.levels.push_back(std::move(L));
     A_work = std::move(A_next);
     if (cap_levels) break;
   }
 
   // ---- Coarsest level ----
-  {
-    attrib::Probe probe("setup.coarse_solver", int(h.levels.size()),
-                        "Setup_etc", pt, nullptr, wc);
-    Level L;
-    L.n = A_work.nrows;
-    L.nc = 0;
-    L.A = std::move(A_work);
-    double dmax = 0.0;
-    if (Int bad = count_degenerate_diag(L.A, &dmax); bad > 0) {
-      // Regularized coarse solve: shift the broken diagonals so the LU /
-      // smoother stay finite. The coarsest operator is a preconditioner
-      // component, so a tiny perturbation costs iterations, not
-      // correctness; the incident is recorded for the `status` block.
-      const double shift = dmax > 0.0 ? 1e-8 * dmax : 1.0;
-      L.A = regularize_diagonal(L.A, shift);
-      std::string ev = "regularized coarse solve: " + std::to_string(bad) +
-                       " degenerate diagonal(s) shifted on the coarsest "
-                       "level";
-      HPAMG_LOG_WARN("amg setup: %s", ev.c_str());
-      h.events.push_back(std::move(ev));
-    }
-    if (L.n <= opts.coarse_size * 4 && L.n <= 2048) {
-      h.coarse_lu = LUSolver(L.A);
-    } else {
-      // Too large for a dense factorization (max_levels capped the
-      // hierarchy): approximate with smoothing sweeps, as the paper notes
-      // is common for the coarsest level.
-      build_smoother_plans(L, opts);
-    }
-    h.stats.push_back({L.n, L.A.nnz(), 0, 0});
-    h.levels.push_back(std::move(L));
-    ensure_multi_workspace(h, 1);  // the solve workspace, one column wide
-  }
+  h.levels.emplace_back();
+  coarsest_step(h, std::move(A_work), pt, wc);
+  h.stats.push_back({h.levels.back().n, h.levels.back().A.nnz(), 0, 0});
+  ensure_multi_workspace(h, 1);  // the solve workspace, one column wide
 
   // Whole-hierarchy consistency audit (P/R dims, Galerkin size chain) —
   // compiled out unless -DHPAMG_CHECK=ON, and the full sweep only runs at
@@ -431,27 +462,24 @@ Hierarchy build_hierarchy(const CSRMatrix& A_in, const AMGOptions& opts) {
   return h;
 }
 
-void build_smoother_plans(Level& L, const AMGOptions& o) {
-  L.gs_base.reset();
-  L.gs_opt.reset();
-  L.lexgs.reset();
-  L.mcgs.reset();
-  switch (o.smoother) {
-    case SmootherKind::kHybridGS:
-      if (o.variant == Variant::kOptimized)
-        L.gs_opt = std::make_unique<HybridGSOptimized>(L.A, o.gs_partitions);
-      else
-        L.gs_base = std::make_unique<HybridGSBaseline>(L.A, o.gs_partitions);
-      break;
-    case SmootherKind::kLexGS:
-      L.lexgs = std::make_unique<LexGS>(L.A);
-      break;
-    case SmootherKind::kMultiColorGS:
-      L.mcgs = std::make_unique<MultiColorGS>(L.A);
-      break;
-    case SmootherKind::kJacobi:
-      break;
+void refresh_hierarchy(Hierarchy& h, const CSRMatrix& A) {
+  require(!h.levels.empty(), "refresh_values: empty hierarchy");
+  require(A.nrows == h.levels[0].n && A.nrows == A.ncols,
+          "refresh_values: size mismatch");
+  CSRMatrix A_work = A;
+  if (!A_work.rows_sorted()) A_work.sort_rows();
+  for (Int l = 0; l + 1 < h.num_levels(); ++l) {
+    Level& L = h.levels[l];
+    CSRMatrix A_level = L.perm.perm.empty()
+                            ? std::move(A_work)
+                            : permute_symmetric(A_work, L.perm);
+    require(l > 0 || (A_level.rowptr == L.A.rowptr &&
+                      A_level.colidx == L.A.colidx),
+            "refresh_values: sparsity pattern differs from setup");
+    L.A = std::move(A_level);
+    A_work = level_step(h.opts, L, int(l), nullptr, nullptr, nullptr);
   }
+  coarsest_step(h, std::move(A_work), nullptr, nullptr);
 }
 
 std::string hierarchy_summary(const Hierarchy& h) {

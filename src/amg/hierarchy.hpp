@@ -86,7 +86,7 @@ struct Level {
 
   // --- smoother plans ---
   std::unique_ptr<HybridGSBaseline> gs_base;
-  std::unique_ptr<HybridGSOptimized> gs_opt;
+  std::unique_ptr<HybridGSOptimized> gs_opt;  ///< reads A in place
   std::unique_ptr<LexGS> lexgs;
   std::unique_ptr<MultiColorGS> mcgs;
 
@@ -133,10 +133,8 @@ struct Hierarchy {
   double operator_complexity() const;
   /// Σ_l n_l / n_0.
   double grid_complexity() const;
-  /// Total bytes held by operators/interp/smoother plans.
-  std::uint64_t footprint_bytes() const;
   /// Per-level footprint split by category (includes the coarse LU and the
-  /// solve workspace, which footprint_bytes() predates and excludes).
+  /// solve workspace).
   std::vector<LevelMemory> memory_by_level() const;
 };
 
@@ -146,7 +144,8 @@ Hierarchy build_hierarchy(const CSRMatrix& A, const AMGOptions& opts);
 /// Structural consistency of a built hierarchy (support/check.hpp
 /// invariant layer): every level operator well-formed and square, the
 /// interpolation operators' shapes agreeing with their level's (n, nc),
-/// and the Galerkin size chain levels[l+1].n == levels[l].nc intact.
+/// every optimized GS plan viewing its own level's operator, and the
+/// Galerkin size chain levels[l+1].n == levels[l].nc intact.
 /// Returns kOk or kInvalidInput with the diagnosis in check::last_error().
 /// Always compiled (tests call it directly); build_hierarchy invokes it at
 /// full checking depth in -DHPAMG_CHECK=ON builds.
@@ -164,9 +163,13 @@ Int count_degenerate_diag(const CSRMatrix& A,
 /// single-node and distributed setups.
 CSRMatrix regularize_diagonal(const CSRMatrix& A, double shift);
 
-/// (Re)builds level L's smoother plan for o.smoother / o.variant from L.A
-/// (plans hold inverse diagonals, so a value refresh rebuilds them).
-void build_smoother_plans(Level& L, const AMGOptions& o);
+/// Numeric re-setup for new values on the pattern h was built from: every
+/// level keeps its C/F split, permutation and transfers, and setup's own
+/// per-level step (Galerkin product, smoother plans) and coarsest-level
+/// step (regularization, LU or smoother plans) rebuild the rest.
+/// Throws std::invalid_argument when A's size or pattern differs from
+/// setup's.
+void refresh_hierarchy(Hierarchy& h, const CSRMatrix& A);
 
 /// Human-readable hierarchy table (one line per level).
 std::string hierarchy_summary(const Hierarchy& h);

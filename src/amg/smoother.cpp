@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "matrix/permute.hpp"
 #include "support/parallel.hpp"
 #include "support/trace.hpp"
 
@@ -129,50 +128,41 @@ void HybridGSBaseline::sweep(const CSRMatrix& A, const Vector& b, Vector& x,
 
 // ---------------------------------------------------------------------------
 
-HybridGSOptimized::HybridGSOptimized(const CSRMatrix& A, int parts) {
+HybridGSOptimized::HybridGSOptimized(const CSRMatrix& A, int parts)
+    : n_(A.nrows),
+      rowptr_(A.rowptr.data()),
+      colidx_(A.colidx.data()),
+      values_(A.values.data()),
+      local_begin_(std::size_t(A.nrows)),
+      diag_(std::size_t(A.nrows)),
+      local_end_(std::size_t(A.nrows)),
+      inv_diag_(std::size_t(A.nrows), 1.0),
+      bounds_(partition_by_weight(A.rowptr,
+                                  parts > 0 ? parts : num_threads())) {
   require(A.nrows == A.ncols, "HybridGSOptimized: matrix must be square");
-  const Int n = A.nrows;
-  bounds_ = partition_by_weight(A.rowptr,
-                                parts > 0 ? parts : num_threads());
-  inv_diag_.assign(n, 1.0);
-
-  // Copy A without its diagonal.
-  A_ = CSRMatrix(n, n);
-  parallel_for(0, n, [&](Int i) {
-    Int cnt = 0;
-    for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
-      if (A.colidx[k] == i)
-        inv_diag_[i] = A.values[k] != 0.0 ? 1.0 / A.values[k] : 1.0;
-      else
-        ++cnt;
-    }
-    A_.rowptr[i + 1] = cnt;
-  });
-  exclusive_scan(A_.rowptr);
-  A_.colidx.resize(A_.rowptr[n]);
-  A_.values.resize(A_.rowptr[n]);
-  parallel_for(0, n, [&](Int i) {
-    Int pos = A_.rowptr[i];
-    for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k)
-      if (A.colidx[k] != i) {
-        A_.colidx[pos] = A.colidx[k];
-        A_.values[pos] = A.values[k];
-        ++pos;
-      }
-  });
-
-  // Owner thread per row range: rows in [bounds_[t], bounds_[t+1]) belong
-  // to thread t; a column is "local" iff it falls in the owner's range.
-  std::vector<Int> owner(n);
-  for (int t = 0; t + 1 < int(bounds_.size()); ++t)
-    for (Int i = bounds_[t]; i < bounds_[t + 1]; ++i) owner[i] = t;
-  RowPartition part = three_way_partition_rows(
-      A_, [&](Int i, Int col, double) -> int {
-        if (owner[col] != owner[i]) return 2;  // external
-        return col < i ? 0 : 1;               // local lower / local upper
-      });
-  ptr1_ = std::move(part.ptr1);
-  ptr2_ = std::move(part.ptr2);
+  TRACE_SPAN("smoother.gs_plan", "kernel", "rows", std::int64_t(n_));
+  // A sorted row owned by partition [is, ie) reads external-below | lower |
+  // diagonal | upper | external-above: one walk finds the three cuts.
+  bool sorted = true;
+#pragma omp parallel for schedule(static) reduction(&& : sorted)
+  for (Int i = 0; i < n_; ++i) {
+    const std::size_t t = std::size_t(
+        std::upper_bound(bounds_.begin(), bounds_.end(), i) - bounds_.begin());
+    const Int is = bounds_[t - 1], ie = bounds_[t];
+    const Int end = A.rowptr[i + 1];
+    for (Int k = A.rowptr[i] + 1; k < end; ++k)
+      sorted = sorted && A.colidx[k - 1] < A.colidx[k];
+    Int k = A.rowptr[i];
+    while (k < end && A.colidx[k] < is) ++k;
+    local_begin_[i] = k;
+    while (k < end && A.colidx[k] < i) ++k;
+    diag_[i] = k;
+    if (k < end && A.colidx[k] == i && A.values[k] != 0.0)
+      inv_diag_[i] = 1.0 / A.values[k];
+    while (k < end && A.colidx[k] < ie) ++k;
+    local_end_[i] = k;
+  }
+  require(sorted, "HybridGSOptimized: rows must be column-sorted");
 }
 
 template <int M>
@@ -180,12 +170,12 @@ void HybridGSOptimized::sweep_block(const double* b, double* x, double* temp,
                                     Int m, Int row_lo, Int row_hi,
                                     bool forward, bool zero_init,
                                     WorkCounters* wc) const {
-  TRACE_SPAN("smoother.gs_optimized", "kernel", "rows",
-             std::int64_t(A_.nrows), "cols", std::int64_t(m));
-  if (row_hi < 0) row_hi = A_.nrows;
+  TRACE_SPAN("smoother.gs_optimized", "kernel", "rows", std::int64_t(n_),
+             "cols", std::int64_t(m));
+  if (row_hi < 0) row_hi = n_;
   constexpr Int W = M ? M : kMaxRhsBlock;
   const Int mm = M ? M : m;
-  if (!zero_init) copy_n(x, temp, std::size_t(A_.nrows) * mm);
+  if (!zero_init) copy_n(x, temp, std::size_t(n_) * mm);
   // Partitions are independent within a sweep, so they are distributed
   // over the ambient team rather than forcing a num_threads(nt) team per
   // call.
@@ -199,50 +189,46 @@ void HybridGSOptimized::sweep_block(const double* b, double* x, double* temp,
     const Int is = std::max(bounds_[t], row_lo);
     const Int ie = std::min(bounds_[t + 1], row_hi);
     WorkCounters local;
-    const Int* HPAMG_RESTRICT colidx = A_.colidx.data();
-    const double* HPAMG_RESTRICT values = A_.values.data();
+    const Int* HPAMG_RESTRICT colidx = colidx_;
+    const double* HPAMG_RESTRICT values = values_;
+    // acc -= A(i, k) * v(col k) over the stored entries [lo, hi).
+    const auto subtract = [&](double* acc, const double* HPAMG_RESTRICT v,
+                              Int lo, Int hi, Int j0, Int bw) {
+      for (Int k = lo; k < hi; ++k) {
+        const double a = values[k];
+        const double* HPAMG_RESTRICT vr = v + std::size_t(colidx[k]) * mm + j0;
+        for (Int j = 0; j < bw; ++j) acc[j] -= a * vr[j];
+      }
+    };
     for (Int j0 = 0; j0 < mm; j0 += W) {
       const Int bw = M ? M : std::min(W, mm - j0);
       for (Int s = 0; s < ie - is; ++s) {
         const Int i = forward ? is + s : ie - 1 - s;
+        const Int lower = local_begin_[i], d = diag_[i], end = local_end_[i];
+        const Int upper = d + Int(d < end && colidx[d] == i);
+        const Int offdiag = rowptr_[i + 1] - rowptr_[i] - (upper - d);
         double acc[W];
         const double* HPAMG_RESTRICT br = bp + std::size_t(i) * mm + j0;
         for (Int j = 0; j < bw; ++j) acc[j] = br[j];
         // Local-lower: already updated this sweep — read x directly.
-        for (Int k = A_.rowptr[i]; k < ptr1_[i]; ++k) {
-          const double v = values[k];
-          const double* HPAMG_RESTRICT xr =
-              xp + std::size_t(colidx[k]) * mm + j0;
-          for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
-        }
+        subtract(acc, xp, lower, d, j0, bw);
         if (!zero_init) {
           // Local-upper: previous-sweep values, still in x (Gauss-Seidel).
-          for (Int k = ptr1_[i]; k < ptr2_[i]; ++k) {
-            const double v = values[k];
-            const double* HPAMG_RESTRICT xr =
-                xp + std::size_t(colidx[k]) * mm + j0;
-            for (Int j = 0; j < bw; ++j) acc[j] -= v * xr[j];
-          }
+          subtract(acc, xp, upper, end, j0, bw);
           // External: other partitions' rows — read the pre-sweep copy.
-          for (Int k = ptr2_[i]; k < A_.rowptr[i + 1]; ++k) {
-            const double v = values[k];
-            const double* HPAMG_RESTRICT tr =
-                tp + std::size_t(colidx[k]) * mm + j0;
-            for (Int j = 0; j < bw; ++j) acc[j] -= v * tr[j];
-          }
-          local.flops += 2 * std::uint64_t(A_.rowptr[i + 1] - A_.rowptr[i]) *
-                         std::uint64_t(bw);
+          subtract(acc, tp, rowptr_[i], lower, j0, bw);
+          subtract(acc, tp, end, rowptr_[i + 1], j0, bw);
+          local.flops += 2 * std::uint64_t(offdiag) * std::uint64_t(bw);
         } else {
           // Upper triangle and external entries multiply known zeros
           // (§3.2): skip them entirely. Only the forward sweep preserves
           // this invariant; callers assert forward when zero_init.
-          local.flops += 2 * std::uint64_t(ptr1_[i] - A_.rowptr[i]) *
-                         std::uint64_t(bw);
+          local.flops += 2 * std::uint64_t(d - lower) * std::uint64_t(bw);
         }
         const double inv = inv_diag_[i];
         double* HPAMG_RESTRICT xr = xp + std::size_t(i) * mm + j0;
         for (Int j = 0; j < bw; ++j) xr[j] = acc[j] * inv;
-        local.bytes_read += std::uint64_t(A_.rowptr[i + 1] - A_.rowptr[i]) *
+        local.bytes_read += std::uint64_t(offdiag) *
                             (sizeof(Int) + sizeof(double) +
                              std::uint64_t(bw) * sizeof(double));
         local.bytes_written += std::uint64_t(bw) * sizeof(double);
@@ -264,7 +250,7 @@ template void HybridGSOptimized::sweep_block<1>(const double*, double*,
 void HybridGSOptimized::sweep(const Vector& b, Vector& x, Vector& temp,
                               Int row_lo, Int row_hi, bool forward,
                               bool zero_init, WorkCounters* wc) const {
-  if (Int(temp.size()) < A_.nrows) temp.resize(A_.nrows);
+  if (Int(temp.size()) < n_) temp.resize(n_);
   sweep_block<1>(b.data(), x.data(), temp.data(), 1, row_lo, row_hi, forward,
                  zero_init, wc);
 }

@@ -8,11 +8,14 @@
 // by other threads are read from the temp copy to honor write-after-read
 // dependencies.
 //
-// The optimized plan pre-partitions each row's columns into
-// {local-lower, local-upper, external} (diagonal stored separately), which
-// removes the per-column ownership branch of the baseline (Fig 2a) and the
-// per-column diagonal test, and enables skipping the upper triangle when
-// the initial guess is zero (common for coarse-level pre-smoothing).
+// The optimized plan is three offsets per row into the level operator:
+// with column-sorted rows (the CF permutation emits them), a row owned by
+// the partition [is, ie) splits into contiguous pieces
+// external-below | local-lower | diagonal | local-upper | external-above.
+// Sweeping the pieces removes the per-column ownership branch of the
+// baseline (Fig 2a) and the per-column diagonal test, and enables skipping
+// the upper triangle when the initial guess is zero (common for
+// coarse-level pre-smoothing), without a second copy of the operator.
 #pragma once
 
 #include "amg/multivector.hpp"
@@ -66,15 +69,21 @@ class HybridGSBaseline {
 };
 
 // ---------------------------------------------------------------------------
-// Optimized hybrid GS (Fig 2b): rows pre-partitioned, diagonal extracted.
+// Optimized hybrid GS (Fig 2b): per-row offsets into the level operator,
+// diagonal inverted once.
 // ---------------------------------------------------------------------------
 
 class HybridGSOptimized {
  public:
-  /// Builds the plan: copies A without its diagonal, partitions each row's
-  /// columns into local-lower / local-upper / external w.r.t. the owning
-  /// thread's row range, and caches 1/a_ii. `parts` as in HybridGSBaseline.
+  /// Builds the plan over A, whose rows must be column-sorted: for each row,
+  /// the offsets of its first local column, its diagonal position and the
+  /// end of its local columns w.r.t. the owning partition's row range, and
+  /// 1/a_ii. `parts` as in HybridGSBaseline. The plan reads A's arrays in
+  /// place: A must outlive it, and reassigning A (or growing its arrays)
+  /// needs a new plan. Moving A keeps its buffers, so the plan stays valid.
   explicit HybridGSOptimized(const CSRMatrix& A, int parts = 0);
+  /// A plan cannot view a temporary.
+  HybridGSOptimized(CSRMatrix&&, int = 0) = delete;
 
   /// One sweep over rows [row_lo, row_hi) (e.g. the coarse or fine block of
   /// a CF-permuted operator — no per-row branch needed).
@@ -93,17 +102,26 @@ class HybridGSOptimized {
                    Int row_lo, Int row_hi, bool forward, bool zero_init,
                    WorkCounters* wc) const;
 
+  /// True when the plan reads A's arrays (same buffers, same size).
+  bool views(const CSRMatrix& A) const {
+    return n_ == A.nrows && rowptr_ == A.rowptr.data() &&
+           colidx_ == A.colidx.data() && values_ == A.values.data();
+  }
   const std::vector<Int>& thread_bounds() const { return bounds_; }
   std::uint64_t footprint_bytes() const {
-    return A_.footprint_bytes() +
-           (ptr1_.size() + ptr2_.size() + bounds_.size()) * sizeof(Int) +
+    return (local_begin_.size() + diag_.size() + local_end_.size() +
+            bounds_.size()) * sizeof(Int) +
            inv_diag_.size() * sizeof(double);
   }
 
  private:
-  CSRMatrix A_;              ///< off-diagonal entries, partitioned per row
-  std::vector<Int> ptr1_;    ///< end of local-lower within each row
-  std::vector<Int> ptr2_;    ///< end of local-upper (start of external)
+  Int n_ = 0;
+  const Int* rowptr_ = nullptr;  ///< the viewed operator's arrays
+  const Int* colidx_ = nullptr;
+  const double* values_ = nullptr;
+  std::vector<Int> local_begin_;  ///< first column >= the partition start
+  std::vector<Int> diag_;         ///< first column >= the row itself
+  std::vector<Int> local_end_;    ///< first column >= the partition end
   std::vector<double> inv_diag_;
   std::vector<Int> bounds_;
 };

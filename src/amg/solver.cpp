@@ -3,9 +3,7 @@
 #include "amg/solve_loop.hpp"
 #include "amg/spmv.hpp"
 #include "amg/telemetry.hpp"
-#include "matrix/transpose.hpp"
 #include "perfmodel/attrib.hpp"
-#include "spgemm/rap.hpp"
 #include "support/check.hpp"
 #include "support/live.hpp"
 #include "support/metrics.hpp"
@@ -251,44 +249,8 @@ void AMGSolver::precondition_multi(const MultiVector& b, MultiVector& x,
 }
 
 void AMGSolver::refresh_values(const CSRMatrix& A_new) {
-  require(!h_.levels.empty(), "refresh_values: empty hierarchy");
-  require(A_new.nrows == h_.levels[0].n && A_new.nrows == A_new.ncols,
-          "refresh_values: size mismatch");
-  const bool optimized = h_.opts.variant == Variant::kOptimized;
   attrib::Probe probe("setup.refresh", "Setup_refresh", h_.setup_times);
-
-  CSRMatrix A_work = A_new;
-  if (!A_work.rows_sorted()) A_work.sort_rows();
-  for (std::size_t l = 0; l + 1 < h_.levels.size(); ++l) {
-    Level& L = h_.levels[l];
-    CSRMatrix A_level;
-    if (optimized && !L.perm.perm.empty()) {
-      A_level = permute_symmetric(A_work, L.perm);
-      A_level.sort_rows();
-    } else {
-      A_level = std::move(A_work);
-    }
-    if (l == 0) {
-      require(A_level.rowptr == L.A.rowptr && A_level.colidx == L.A.colidx,
-              "refresh_values: sparsity pattern differs from setup");
-    }
-    L.A = std::move(A_level);
-    // Frozen transfers, fresh Galerkin product.
-    CSRMatrix A_next =
-        optimized ? rap_cf_block(L.A, L.Pf, L.PfT, L.nc)
-                  : rap_fused_hypre(transpose_serial(L.P), L.A, L.P);
-    A_next.sort_rows();
-    // Smoother plans depend on the values (inverse diagonals).
-    build_smoother_plans(L, h_.opts);
-    A_work = std::move(A_next);
-  }
-  Level& C = h_.levels.back();
-  C.A = std::move(A_work);
-  if (h_.coarse_lu.size() == C.n && C.n > 0) {
-    h_.coarse_lu = LUSolver(C.A);
-  } else if (C.gs_opt || C.gs_base || C.lexgs || C.mcgs) {
-    build_smoother_plans(C, h_.opts);
-  }
+  refresh_hierarchy(h_, A_new);
 }
 
 }  // namespace hpamg

@@ -148,7 +148,8 @@ class AMGSolver {
   /// the Galerkin products and the smoother plans rebuilt — skipping
   /// strength, coarsening and interpolation construction entirely (the
   /// paper's "setup will be called only occasionally" scenario, §5.2).
-  /// Throws if the pattern differs.
+  /// Runs setup's own per-level and coarsest-level steps
+  /// (refresh_hierarchy). Throws if the pattern differs.
   void refresh_values(const CSRMatrix& A_new);
 
   /// Machine-readable report of the setup phase and, when `sr` is given,

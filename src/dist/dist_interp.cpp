@@ -204,6 +204,11 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
   std::vector<std::vector<std::pair<Long, double>>> rows(n);
   const auto ext_row_of = [&](Long g) { return sorted_find(needF, g); };
 
+  // Memory traffic as serial extpi_interp counts it: the strong-F rows
+  // walked for Ĉ_i, two passes over each distributing row, the output.
+  const auto count_read = [wc](Long entries, std::size_t entry_bytes) {
+    if (wc) wc->bytes_read += std::uint64_t(entries) * entry_bytes;
+  };
   StrongWalk sw;
   HashMap<Long> chat(64);           // fine gid -> slot
   std::vector<Long> chat_fine;      // slot -> fine gid
@@ -246,6 +251,7 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
           const Int j2 = S.offd.colidx[ks];
           if (cf_ext[j2] > 0) chat_insert(S.colmap[j2], cid_ext[j2]);
         }
+        count_read(S.diag.row_nnz(j) + S.offd.row_nnz(j), sizeof(Int));
       }
     }
     for (Int k : sw.offd) {
@@ -258,6 +264,8 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
           if (sc_rows.gcol[ks] != r0 + i)
             chat_insert(sc_rows.gcol[ks], Long(sc_rows.values[ks]));
         }
+        count_read(sc_rows.rowptr[e + 1] - sc_rows.rowptr[e],
+                   sizeof(Long) + sizeof(double));
       }
     }
     if (chat_fine.empty()) continue;  // no interpolatory set
@@ -329,6 +337,8 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
         for (Int kk = A.offd.rowptr[j]; kk < A.offd.rowptr[j + 1]; ++kk)
           fn(A.colmap[A.offd.colidx[kk]], A.offd.values[kk]);
       });
+      count_read(2 * (A.diag.row_nnz(j) + A.offd.row_nnz(j)),
+                 sizeof(Int) + sizeof(double));
     }
     for (Int k : sw.offd) {
       const Int j = A.offd.colidx[k];
@@ -344,6 +354,8 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
           fn(a_rows.gcol[kk], a_rows.values[kk]);
         }
       });
+      count_read(2 * (a_rows.rowptr[e + 1] - a_rows.rowptr[e]),
+                 sizeof(Long) + sizeof(double));
     }
 
     // Finalize and (fused) truncate.
@@ -361,6 +373,9 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
       len = truncate_row(rc.data(), rv.data(), len, opt.truncation);
     for (Int k = 0; k < len; ++k) rows[i].push_back({rc[k], rv[k]});
   }
+  if (wc)
+    for (const auto& row : rows)
+      wc->bytes_written += row.size() * (sizeof(Int) + sizeof(double));
 
   DistMatrix P = assemble_dist_from_rows(comm, A.row_starts, cn.starts, rows);
   if (!opt.fused_truncation) {

@@ -1,6 +1,7 @@
 #include "matrix/permute.hpp"
 
 #include "support/parallel.hpp"
+#include "support/trace.hpp"
 
 namespace hpamg {
 
@@ -20,48 +21,38 @@ CFPermutation cf_permutation(const CFMarker& cf) {
   return p;
 }
 
-CSRMatrix permute_rows(const CSRMatrix& A, const std::vector<Int>& perm) {
-  const Int n = Int(perm.size());
-  CSRMatrix B(n, A.ncols);
-  for (Int ni = 0; ni < n; ++ni) B.rowptr[ni + 1] = A.row_nnz(perm[ni]);
+CSRMatrix permute_symmetric(const CSRMatrix& A, const CFPermutation& p) {
+  require(A.nrows == A.ncols, "permute_symmetric: matrix must be square");
+  const Int n = A.nrows;
+  CSRMatrix B(n, n);
+  for (Int ni = 0; ni < n; ++ni) B.rowptr[ni + 1] = A.row_nnz(p.perm[ni]);
   exclusive_scan(B.rowptr);
   B.colidx.resize(B.rowptr[n]);
   B.values.resize(B.rowptr[n]);
-  parallel_for(0, n, [&](Int ni) {
-    const Int oi = perm[ni];
-    Int pos = B.rowptr[ni];
-    for (Int k = A.rowptr[oi]; k < A.rowptr[oi + 1]; ++k, ++pos) {
-      B.colidx[pos] = A.colidx[k];
+  TRACE_SPAN("matrix.permute_symmetric", "kernel", "rows", std::int64_t(n));
+  // A CF permutation keeps the coarse points and the fine points each in
+  // ascending order, so a sorted row renumbers into two ascending runs: a
+  // stable coarse-first split of the row is its sorted order. Rows that
+  // still come out of order (unsorted input) get a full sort below.
+  bool sorted = true;
+#pragma omp parallel for schedule(static) reduction(&& : sorted)
+  for (Int ni = 0; ni < n; ++ni) {
+    const Int lo = A.rowptr[p.perm[ni]], hi = A.rowptr[p.perm[ni] + 1];
+    Int ncoarse = 0;
+    for (Int k = lo; k < hi; ++k) ncoarse += p.inv[A.colidx[k]] < p.ncoarse;
+    const Int begin = B.rowptr[ni];
+    Int c = begin, f = begin + ncoarse;
+    for (Int k = lo; k < hi; ++k) {
+      const Int j = p.inv[A.colidx[k]];
+      const Int pos = j < p.ncoarse ? c++ : f++;
+      B.colidx[pos] = j;
       B.values[pos] = A.values[k];
     }
-  });
+    for (Int k = begin + 1; k < B.rowptr[ni + 1]; ++k)
+      sorted = sorted && B.colidx[k - 1] < B.colidx[k];
+  }
+  if (!sorted) B.sort_rows();
   return B;
-}
-
-CSRMatrix permute_cols(const CSRMatrix& A, const std::vector<Int>& inv,
-                       Int new_ncols) {
-  CSRMatrix B = A;
-  B.ncols = new_ncols;
-  parallel_for(0, Int(B.colidx.size()), [&](Int k) {
-    B.colidx[k] = inv[B.colidx[k]];
-  });
-  return B;
-}
-
-CSRMatrix permute_symmetric(const CSRMatrix& A, const CFPermutation& p) {
-  require(A.nrows == A.ncols, "permute_symmetric: matrix must be square");
-  CSRMatrix B = permute_rows(A, p.perm);
-  parallel_for(0, Int(B.colidx.size()), [&](Int k) {
-    B.colidx[k] = p.inv[B.colidx[k]];
-  });
-  return B;
-}
-
-std::vector<double> permute_vector(const std::vector<double>& v,
-                                   const std::vector<Int>& perm) {
-  std::vector<double> out(perm.size());
-  parallel_for(0, Int(perm.size()), [&](Int i) { out[i] = v[perm[i]]; });
-  return out;
 }
 
 RowPartition three_way_partition_rows(

@@ -1,4 +1,4 @@
-// Matrix/vector permutation utilities and the coarse/fine (CF) reordering
+// Matrix permutation utilities and the coarse/fine (CF) reordering
 // at the heart of the paper's node-level optimizations (§3.1.2, §3.2):
 // renumber points so coarse points precede fine points, permute operators
 // accordingly, and partition the columns within each row (a one-sweep
@@ -26,19 +26,9 @@ struct CFPermutation {
 
 CFPermutation cf_permutation(const CFMarker& cf);
 
-/// B(i, j) = A(perm[i], perm[j]) — symmetric permutation of a square matrix.
+/// B(i, j) = A(perm[i], perm[j]) — symmetric permutation of a square
+/// matrix, with every row of B column-sorted.
 CSRMatrix permute_symmetric(const CSRMatrix& A, const CFPermutation& p);
-
-/// B(i, :) = A(perm[i], :) — row permutation only.
-CSRMatrix permute_rows(const CSRMatrix& A, const std::vector<Int>& perm);
-
-/// B(:, j) such that B(i, inv[jold]) = A(i, jold) — column renumbering.
-CSRMatrix permute_cols(const CSRMatrix& A, const std::vector<Int>& inv,
-                       Int new_ncols);
-
-/// out[i] = v[perm[i]].
-std::vector<double> permute_vector(const std::vector<double>& v,
-                                   const std::vector<Int>& perm);
 
 /// Per-row 3-way column partition boundaries produced by a single
 /// counting sweep (O(row nnz), not a sort). After the call, the columns of

@@ -129,8 +129,8 @@ inline void scatter_row_times_p(const Int* bcols, const double* bvals,
     const Int j = bcols[kb];
     if (prefetch && kb + 1 < bn) {
       const Int jn = bcols[kb + 1];
-      __builtin_prefetch(&P.colidx[P.rowptr[jn]]);
-      __builtin_prefetch(&P.values[P.rowptr[jn]]);
+      __builtin_prefetch(P.colidx.data() + P.rowptr[jn]);
+      __builtin_prefetch(P.values.data() + P.rowptr[jn]);
     }
     const double b = bvals[kb];
     for (Int kp = P.rowptr[j]; kp < P.rowptr[j + 1]; ++kp) {
@@ -161,8 +161,8 @@ inline void accumulate_scaled_row(const CSRMatrix& M, Int j, double alpha,
                                   WorkCounters& cnt, bool prefetch,
                                   Int prefetch_row) {
   if (prefetch && prefetch_row >= 0) {
-    __builtin_prefetch(&M.colidx[M.rowptr[prefetch_row]]);
-    __builtin_prefetch(&M.values[M.rowptr[prefetch_row]]);
+    __builtin_prefetch(M.colidx.data() + M.rowptr[prefetch_row]);
+    __builtin_prefetch(M.values.data() + M.rowptr[prefetch_row]);
   }
   for (Int k = M.rowptr[j]; k < M.rowptr[j + 1]; ++k) {
     const Int c = M.colidx[k];
@@ -311,8 +311,8 @@ CSRMatrix rap_cf_block(const CSRMatrix& Aperm, const CSRMatrix& Pf,
         const double r = PfT.values[kp];
         if (opt.prefetch && kp + 1 < PfT.rowptr[i + 1]) {
           const Int nxt = nc + PfT.colidx[kp + 1];
-          __builtin_prefetch(&Aperm.colidx[Aperm.rowptr[nxt]]);
-          __builtin_prefetch(&Aperm.values[Aperm.rowptr[nxt]]);
+          __builtin_prefetch(Aperm.colidx.data() + Aperm.rowptr[nxt]);
+          __builtin_prefetch(Aperm.values.data() + Aperm.rowptr[nxt]);
         }
         for (Int k = Aperm.rowptr[arow]; k < Aperm.rowptr[arow + 1]; ++k) {
           const Int c = Aperm.colidx[k];

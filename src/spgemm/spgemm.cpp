@@ -139,8 +139,8 @@ CSRMatrix spgemm_onepass(const CSRMatrix& A, const CSRMatrix& B,
           // Prefetch the next B row referenced by this A row; the hardware
           // prefetcher cannot see through the indirection (§3.1.1).
           const Int jn = A.colidx[ka + 1];
-          __builtin_prefetch(&B.colidx[B.rowptr[jn]]);
-          __builtin_prefetch(&B.values[B.rowptr[jn]]);
+          __builtin_prefetch(B.colidx.data() + B.rowptr[jn]);
+          __builtin_prefetch(B.values.data() + B.rowptr[jn]);
         }
         const double a = A.values[ka];
         const Int kb_end = B.rowptr[j + 1];

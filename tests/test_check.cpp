@@ -124,6 +124,23 @@ TEST(CheckHierarchy, BrokenGalerkinChainRejected) {
   EXPECT_EQ(check_hierarchy(h), Status::kOk) << check::last_error();
 }
 
+TEST(CheckHierarchy, GsPlanMustViewItsOwnLevel) {
+  Hierarchy h = build_hierarchy(lap2d_5pt(24, 24), {});
+  ASSERT_GE(h.num_levels(), 3);
+  ASSERT_TRUE(h.levels[0].gs_opt && h.levels[1].gs_opt);
+  // Each plan reads its level operator in place; a swapped plan reads the
+  // wrong level's arrays.
+  std::swap(h.levels[0].gs_opt, h.levels[1].gs_opt);
+  EXPECT_EQ(check_hierarchy(h), Status::kInvalidInput);
+  EXPECT_NE(check::last_error().find("hybrid GS plan"), std::string::npos);
+  std::swap(h.levels[0].gs_opt, h.levels[1].gs_opt);
+  EXPECT_EQ(check_hierarchy(h), Status::kOk) << check::last_error();
+  // A copy of the operator has the same values in other buffers.
+  const CSRMatrix copy = h.levels[1].A;
+  h.levels[1].gs_opt = std::make_unique<HybridGSOptimized>(copy, 2);
+  EXPECT_EQ(check_hierarchy(h), Status::kInvalidInput);
+}
+
 // ---- Partitions and distributed ownership --------------------------------
 
 TEST(CheckPartition, ContiguousPartitionRules) {

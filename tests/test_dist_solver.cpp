@@ -15,7 +15,9 @@
 #include "gen/stencil.hpp"
 #include "krylov/krylov.hpp"
 #include "matrix/transpose.hpp"
+#include "perfmodel/attrib.hpp"
 #include "spgemm/spgemm.hpp"
+#include "support/metrics.hpp"
 #include "test_util.hpp"
 
 namespace hpamg {
@@ -323,6 +325,30 @@ TEST(DistSolve, SetupRecordsPhasesAndComm) {
   });
 }
 
+
+TEST(DistSolve, Ei4InterpCountsBytes) {
+  // The ei(4) interpolation counts its memory traffic, so the distributed
+  // Interp phase gets a roofline row (the snapshot drops zero-byte cells).
+  CSRMatrix A = lap3d_7pt(10, 10, 10);
+  metrics::reset();
+  metrics::enable();
+  attrib::reset();
+  simmpi::run(2, [&](simmpi::Comm& c) {
+    DistMatrix dA = distribute_csr(c, A);
+    DistAMGOptions o;
+    o.interp = InterpKind::kExtPI;
+    o.truncation.max_elmts = 4;
+    (void)dist_amg_setup(c, dA, o);
+  });
+  const std::vector<RooflineEntry> roof = attrib::snapshot();
+  attrib::reset();
+  metrics::disable();
+  metrics::reset();
+  std::uint64_t interp_bytes = 0;
+  for (const RooflineEntry& e : roof)
+    if (e.kernel == "setup.interp" && e.level == 0) interp_bytes += e.bytes;
+  EXPECT_GT(interp_bytes, 0u);
+}
 
 TEST(DistSolve, CoarseFallbackWhenMaxLevelsCaps) {
   // max_levels = 2 leaves a coarse level too big to replicate (the LU

@@ -180,5 +180,68 @@ TEST(RefreshValues, RefreshesCoarseLU) {
   for (Int i = 0; i < A.nrows; ++i) ASSERT_NEAR(x2[i] * 5.0, x1[i], 1e-6);
 }
 
+/// Refreshing with the operator the hierarchy was built from rebuilds
+/// exactly what setup built: every level operator bitwise (the plans view
+/// the new ones) and the same solve iterates.
+void expect_refresh_reproduces_setup(const CSRMatrix& A,
+                                     const AMGOptions& o) {
+  AMGSolver amg(A, o);
+  std::vector<CSRMatrix> ops;
+  for (const Level& L : amg.hierarchy().levels) ops.push_back(L.A);
+  Vector b(A.nrows), x1(A.nrows, 0.0), x2(A.nrows, 0.0);
+  for (Int i = 0; i < A.nrows; ++i) b[i] = 1.0 + std::sin(0.1 * i);
+  const SolveResult r1 = amg.solve(b, x1, 1e-8, 300);
+  ASSERT_TRUE(r1.converged);
+
+  amg.refresh_values(A);
+  const Hierarchy& h = amg.hierarchy();
+  ASSERT_EQ(h.levels.size(), ops.size());
+  for (std::size_t l = 0; l < ops.size(); ++l) {
+    EXPECT_EQ(h.levels[l].A.rowptr, ops[l].rowptr) << "level " << l;
+    EXPECT_EQ(h.levels[l].A.colidx, ops[l].colidx) << "level " << l;
+    EXPECT_EQ(h.levels[l].A.values, ops[l].values) << "level " << l;
+  }
+  EXPECT_EQ(check_hierarchy(h), Status::kOk);
+  const SolveResult r2 = amg.solve(b, x2, 1e-8, 300);
+  EXPECT_EQ(r2.iterations, r1.iterations);
+  EXPECT_EQ(r2.history, r1.history);
+  EXPECT_EQ(x2, x1);  // bitwise
+}
+
+TEST(RefreshValues, SetupOperatorReproducesSetupWithLuCoarsest) {
+  CSRMatrix A = lap2d_5pt(30, 30);
+  ASSERT_GT(AMGSolver(A, {}).hierarchy().coarse_lu.size(), 0);
+  expect_refresh_reproduces_setup(A, {});
+}
+
+TEST(RefreshValues, SetupOperatorReproducesSetupWithSmoothingCoarsest) {
+  // Degenerate.HugeCoarseLevelFallsBackToSmoothing's hierarchy: the
+  // coarsest level smooths, so its plan must be rebuilt on the refreshed
+  // operator (a stale plan reads freed arrays).
+  CSRMatrix A = lap2d_5pt(60, 60);
+  AMGOptions o;
+  o.max_levels = 2;
+  ASSERT_EQ(AMGSolver(A, o).hierarchy().coarse_lu.size(), 0);
+  ASSERT_TRUE(AMGSolver(A, o).hierarchy().levels.back().gs_opt);
+  expect_refresh_reproduces_setup(A, o);
+}
+
+TEST(RefreshValues, RegularizesTheCoarsestLikeSetup) {
+  // A zero diagonal on a one-level hierarchy: setup regularizes the
+  // coarsest operator, and so does the refresh.
+  CSRMatrix A = lap2d_5pt(5, 5);
+  for (Int k = A.rowptr[3]; k < A.rowptr[4]; ++k)
+    if (A.colidx[k] == 3) A.values[k] = 0.0;
+  Hierarchy h = build_hierarchy(A, {});
+  ASSERT_EQ(h.num_levels(), 1);
+  ASSERT_EQ(h.events.size(), 1u);
+  const CSRMatrix regularized = h.levels[0].A;
+  EXPECT_NE(regularized.values, A.values);
+  refresh_hierarchy(h, A);
+  EXPECT_EQ(h.levels[0].A.colidx, regularized.colidx);
+  EXPECT_EQ(h.levels[0].A.values, regularized.values);
+  EXPECT_EQ(h.events.size(), 2u);
+}
+
 }  // namespace
 }  // namespace hpamg

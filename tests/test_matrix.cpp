@@ -2,8 +2,10 @@
 // and MatrixMarket I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "gen/stencil.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/io.hpp"
@@ -169,22 +171,60 @@ TEST(Permute, CfPermutationPlacesCoarseFirst) {
   for (Int ni = 0; ni < 6; ++ni) EXPECT_EQ(p.inv[p.perm[ni]], ni);
 }
 
+/// Row gather, column renumbering, then a sort: the two-pass reference
+/// for the one-pass sorted permutation.
+CSRMatrix permute_then_sort(const CSRMatrix& A, const CFPermutation& p) {
+  CSRMatrix B(A.nrows, A.ncols);
+  for (Int ni = 0; ni < A.nrows; ++ni) {
+    const Int oi = p.perm[ni];
+    for (Int k = A.rowptr[oi]; k < A.rowptr[oi + 1]; ++k) {
+      B.colidx.push_back(p.inv[A.colidx[k]]);
+      B.values.push_back(A.values[k]);
+    }
+    B.rowptr[ni + 1] = Int(B.colidx.size());
+  }
+  B.sort_rows();
+  return B;
+}
+
 TEST(Permute, SymmetricPermutationPreservesEntries) {
   CSRMatrix A = random_spd(30, 3, 11);
   CFMarker cf(30);
   for (Int i = 0; i < 30; ++i) cf[i] = (i % 3 == 0) ? 1 : -1;
   CFPermutation p = cf_permutation(cf);
   CSRMatrix B = permute_symmetric(A, p);
-  B.sort_rows();
+  EXPECT_TRUE(B.rows_sorted());
   for (Int ni = 0; ni < 30; ++ni)
     for (Int nj = 0; nj < 30; ++nj)
       EXPECT_DOUBLE_EQ(B.at(ni, nj), A.at(p.perm[ni], p.perm[nj]));
+  for (const CSRMatrix& M : {random_spd(300, 5, 7), lap3d_27pt(7, 6, 5)}) {
+    CFMarker mark(std::size_t(M.nrows));
+    for (Int i = 0; i < M.nrows; ++i) mark[i] = (i * 7919 % 5 < 2) ? 1 : -1;
+    const CFPermutation q = cf_permutation(mark);
+    const CSRMatrix P = permute_symmetric(M, q), R = permute_then_sort(M, q);
+    EXPECT_TRUE(P.rows_sorted());
+    EXPECT_EQ(P.rowptr, R.rowptr);
+    EXPECT_EQ(P.colidx, R.colidx);
+    EXPECT_EQ(P.values, R.values);  // bitwise
+  }
 }
 
-TEST(Permute, VectorGather) {
-  std::vector<double> v = {10, 20, 30};
-  std::vector<Int> perm = {2, 0, 1};
-  EXPECT_EQ(permute_vector(v, perm), (std::vector<double>{30, 10, 20}));
+TEST(Permute, SymmetricPermutationSortsUnsortedInput) {
+  CSRMatrix A = random_spd(40, 4, 3);
+  const CSRMatrix sorted = A;
+  for (Int i = 0; i < A.nrows; ++i) {  // reverse every row
+    std::reverse(A.colidx.begin() + A.rowptr[i],
+                 A.colidx.begin() + A.rowptr[i + 1]);
+    std::reverse(A.values.begin() + A.rowptr[i],
+                 A.values.begin() + A.rowptr[i + 1]);
+  }
+  CFMarker cf(40);
+  for (Int i = 0; i < 40; ++i) cf[i] = (i % 4 == 1) ? 1 : -1;
+  const CFPermutation p = cf_permutation(cf);
+  const CSRMatrix B = permute_symmetric(A, p), R = permute_symmetric(sorted, p);
+  EXPECT_TRUE(B.rows_sorted());
+  EXPECT_EQ(B.colidx, R.colidx);
+  EXPECT_EQ(B.values, R.values);
 }
 
 TEST(Permute, ThreeWayPartitionGroupsStably) {

@@ -189,7 +189,10 @@ TEST(Footprint, TracksHierarchyStorage) {
   CSRMatrix A = lap2d_5pt(30, 30);
   Hierarchy h = build_hierarchy(A, {});
   // At least the finest operator's CSR arrays.
-  EXPECT_GE(h.footprint_bytes(), A.footprint_bytes());
+  std::uint64_t bytes = 0;
+  for (const LevelMemory& m : h.memory_by_level())
+    bytes += m.operator_bytes + m.interp_bytes + m.smoother_bytes;
+  EXPECT_GE(bytes, A.footprint_bytes());
 }
 
 TEST(CsrFootprint, CountsArrays) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
+#include "amg/hierarchy.hpp"
 #include "amg/smoother.hpp"
 #include "amg/spmv.hpp"
 #include "matrix/permute.hpp"
@@ -133,6 +135,82 @@ TEST(HybridGs, BranchCountersFavorOptimized) {
   opt.sweep(b, x, t, 0, A.nrows, true, false, &wo);
   EXPECT_GT(wb.branches, 0u);
   EXPECT_EQ(wo.branches, 0u);  // the partitioned plan removed them all
+}
+
+static_assert(std::is_constructible_v<HybridGSOptimized, const CSRMatrix&, int>);
+static_assert(!std::is_constructible_v<HybridGSOptimized, CSRMatrix&&, int>,
+              "a plan must not view a temporary operator");
+
+TEST(HybridGs, PlanRejectsUnsortedRows) {
+  CSRMatrix A = random_spd(20, 3, 5);
+  std::swap(A.colidx[A.rowptr[4]], A.colidx[A.rowptr[4] + 1]);
+  EXPECT_THROW(HybridGSOptimized(A, 2), std::invalid_argument);
+}
+
+TEST(HybridGs, PlanReadsTheOperatorInPlace) {
+  // The sweep reads A's arrays through the plan's per-row offsets, in the
+  // order local-lower, local-upper, external-below, external-above; a
+  // direct hybrid GS in that order gives bitwise the same iterate and the
+  // counters charge every off-diagonal entry once.
+  CSRMatrix A = random_spd(200, 5, 41);
+  const HybridGSOptimized gs(A, 3);
+  EXPECT_TRUE(gs.views(A));
+  const std::vector<Int>& bounds = gs.thread_bounds();
+  Vector b(A.nrows), x(A.nrows), t(A.nrows);
+  for (Int i = 0; i < A.nrows; ++i) {
+    b[i] = 1.0 + 0.01 * i;
+    x[i] = 0.5 - 0.003 * i;
+  }
+  Vector ref = x;
+  const Vector old = x;
+  std::uint64_t offdiag = 0;
+  for (std::size_t p = 0; p + 1 < bounds.size(); ++p) {
+    const Int is = bounds[p], ie = bounds[p + 1];
+    for (Int i = is; i < ie; ++i) {
+      double acc = b[i], diag = 1.0;
+      const auto pass = [&](auto in_piece, const Vector& v) {
+        for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k)
+          if (in_piece(A.colidx[k])) acc -= A.values[k] * v[A.colidx[k]];
+      };
+      pass([&](Int c) { return c >= is && c < i; }, ref);
+      pass([&](Int c) { return c > i && c < ie; }, ref);
+      pass([&](Int c) { return c < is; }, old);
+      pass([&](Int c) { return c >= ie; }, old);
+      for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k) {
+        if (A.colidx[k] == i)
+          diag = A.values[k];
+        else
+          ++offdiag;
+      }
+      ref[i] = acc * (1.0 / diag);
+    }
+  }
+  WorkCounters wc;
+  gs.sweep(b, x, t, 0, A.nrows, true, false, &wc);
+  EXPECT_EQ(x, ref);  // bitwise
+  EXPECT_EQ(wc.flops, 2 * offdiag);
+  EXPECT_EQ(wc.bytes_read, offdiag * (sizeof(Int) + 2 * sizeof(double)));
+  EXPECT_EQ(wc.bytes_written, std::uint64_t(A.nrows) * sizeof(double));
+}
+
+TEST(HybridGs, PlanSurvivesMovingItsLevel) {
+  // The plan views L.A's buffers, which a std::vector move keeps: a level
+  // moved through reallocating pushes sweeps to the same iterates.
+  Level L;
+  L.A = lap2d_5pt(24, 24);
+  L.n = L.A.nrows;
+  L.gs_opt = std::make_unique<HybridGSOptimized>(L.A, 4);
+  Vector b(L.n, 1.0), x0(L.n, 0.25), t(L.n);
+  Vector before = x0;
+  for (int s = 0; s < 2; ++s) L.gs_opt->sweep(b, before, t, 0, L.n, true);
+  std::vector<Level> levels;
+  levels.push_back(std::move(L));
+  for (int k = 0; k < 9; ++k) levels.emplace_back();  // reallocates
+  ASSERT_TRUE(levels[0].gs_opt->views(levels[0].A));
+  Vector after = x0;
+  for (int s = 0; s < 2; ++s)
+    levels[0].gs_opt->sweep(b, after, t, 0, levels[0].n, true);
+  EXPECT_EQ(after, before);  // bitwise
 }
 
 TEST(LexGs, LevelsRespectDependenciesAndConverge) {

@@ -30,8 +30,31 @@ TEST(Hierarchy, LevelsShrinkAndComplexityBounded) {
   EXPECT_GT(h.operator_complexity(), 1.0);
   EXPECT_LT(h.operator_complexity(), 5.0);
   EXPECT_LT(h.grid_complexity(), 2.5);
-  EXPECT_GT(h.footprint_bytes(), 0u);
+  std::uint64_t bytes = 0;
+  for (const LevelMemory& m : h.memory_by_level())
+    bytes += m.operator_bytes + m.interp_bytes + m.smoother_bytes;
+  EXPECT_GT(bytes, 0u);
   EXPECT_FALSE(hierarchy_summary(h).empty());
+}
+
+TEST(Hierarchy, OptimizedGsPlanHoldsNoOperatorCopy) {
+  // The plan is three offsets and an inverse diagonal per row plus the
+  // partition bounds; the level operator is read in place.
+  AMGOptions o = base_opts(Variant::kOptimized);
+  o.gs_partitions = 4;
+  Hierarchy h = build_hierarchy(lap3d_27pt(14, 14, 14), o);
+  ASSERT_GE(h.num_levels(), 3);
+  const std::vector<LevelMemory> mem = h.memory_by_level();
+  for (Int l = 0; l + 1 < h.num_levels(); ++l) {
+    const Level& L = h.levels[l];
+    ASSERT_TRUE(L.gs_opt);
+    EXPECT_TRUE(L.gs_opt->views(L.A));
+    const std::uint64_t bound =
+        std::uint64_t(L.n) * (3 * sizeof(Int) + sizeof(double)) +
+        L.gs_opt->thread_bounds().size() * sizeof(Int);
+    EXPECT_LE(mem[l].smoother_bytes, bound) << "level " << l;
+    EXPECT_LT(mem[l].smoother_bytes, mem[l].operator_bytes) << "level " << l;
+  }
 }
 
 TEST(Hierarchy, OptimizedLevelsAreCfPermuted) {
