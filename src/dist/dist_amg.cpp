@@ -411,27 +411,8 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
       DistMatrix P2 =
           dist_extpi_interp(comm, A1, S1, ST1, cf2, cn2, io, wc, &iinfo);
       P = dist_spgemm(comm, P1, P2, so, wc);
-      // Truncation at the final stage: per-row, then reassemble.
-      std::vector<std::vector<std::pair<Long, double>>> rows(P.local_rows());
-      std::vector<Long> rc;
-      std::vector<double> rv;
-      for (Int i = 0; i < P.local_rows(); ++i) {
-        rc.clear();
-        rv.clear();
-        for (Int k = P.diag.rowptr[i]; k < P.diag.rowptr[i + 1]; ++k) {
-          rc.push_back(P.first_col() + P.diag.colidx[k]);
-          rv.push_back(P.diag.values[k]);
-        }
-        for (Int k = P.offd.rowptr[i]; k < P.offd.rowptr[i + 1]; ++k) {
-          rc.push_back(P.colmap[P.offd.colidx[k]]);
-          rv.push_back(P.offd.values[k]);
-        }
-        Int len = Int(rc.size());
-        if (cf[i] <= 0)
-          len = truncate_row(rc.data(), rv.data(), len, opts.truncation);
-        for (Int k = 0; k < len; ++k) rows[i].push_back({rc[k], rv[k]});
-      }
-      P = assemble_dist_from_rows(comm, P.row_starts, P.col_starts, rows);
+      // Truncation at the final stage.
+      P = truncate_dist_interp(comm, P, cf, opts.truncation);
     } else {
       P = dist_extpi_interp(comm, A, S, ST, cf, cn, io, wc, &iinfo);
     }

@@ -1,10 +1,9 @@
 #include "dist/dist_interp.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "dist/halo.hpp"
-#include "support/hash.hpp"
+#include "dist/renumber.hpp"
 #include "support/parallel.hpp"
 #include "support/sort.hpp"
 #include "support/trace.hpp"
@@ -26,83 +25,114 @@ inline Int sorted_find(const std::vector<Long>& v, Long g) {
   return (it != v.end() && *it == g) ? Int(it - v.begin()) : -1;
 }
 
-/// Merge-walk strongness: builds the set of strong in-row offsets of the
-/// (sorted) diag/offd rows of A against the strength rows of S.
-struct StrongWalk {
-  std::vector<Int> diag;  ///< offsets into A.diag row
-  std::vector<Int> offd;  ///< offsets into A.offd row
-  void compute(const DistMatrix& A, const DistMatrix& S, Int i) {
-    diag.clear();
-    offd.clear();
-    Int ks = S.diag.rowptr[i];
-    const Int ks_end = S.diag.rowptr[i + 1];
-    for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
-      const Int j = A.diag.colidx[k];
-      while (ks < ks_end && S.diag.colidx[ks] < j) ++ks;
-      if (ks < ks_end && S.diag.colidx[ks] == j) diag.push_back(k);
+/// Visits row i of A in [diag | offd] order as (local index, value): the
+/// rank's local index space puts owned columns at [0, n) and A.colmap
+/// slot j at n + j.
+template <typename Fn>
+void for_each_local(const DistMatrix& A, Int i, Fn&& fn) {
+  const Int n = A.local_cols();
+  for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k)
+    fn(A.diag.colidx[k], A.diag.values[k]);
+  for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k)
+    fn(n + A.offd.colidx[k], A.offd.values[k]);
+}
+
+/// Stamped membership over a local index space: next() forgets every mark
+/// at once.
+struct Marker {
+  std::vector<Int> at;
+  Int stamp = 0;
+  explicit Marker(std::size_t n) : at(n, -1) {}
+  void next() { ++stamp; }
+  void set(Int j) { at[j] = stamp; }
+  bool has(Int j) const { return at[j] == stamp; }
+};
+
+/// One row's sparse accumulator over a local index space (the §3.1.1
+/// marker array): column j holds slot pos[j] - base of (cols, acc) while
+/// pos[j] >= base. clear() forgets the row by moving base past its slots.
+/// Slots keep first-insertion order.
+struct RowAccumulator {
+  std::vector<Int> pos;
+  std::vector<Int> cols;
+  std::vector<double> acc;
+  Int base = 0;
+  explicit RowAccumulator(std::size_t n) : pos(n, -1) {}
+  void clear() {
+    base += Int(cols.size());
+    cols.clear();
+    acc.clear();
+  }
+  Int slot(Int j) const { return pos[j] >= base ? pos[j] - base : -1; }
+  Int insert(Int j) {
+    if (pos[j] < base) {
+      pos[j] = base + Int(cols.size());
+      cols.push_back(j);
+      acc.push_back(0.0);
     }
-    Int ko = S.offd.rowptr[i];
-    const Int ko_end = S.offd.rowptr[i + 1];
-    for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k) {
-      const Int j = A.offd.colidx[k];
-      while (ko < ko_end && S.offd.colidx[ko] < j) ++ko;
-      if (ko < ko_end && S.offd.colidx[ko] == j) offd.push_back(k);
-    }
+    return pos[j] - base;
   }
 };
 
+/// Ends the row that starts at `start`, truncating it in place first when
+/// `opt` is given (truncate_row's tie-breaks follow the entry order).
+void end_row_truncated(GlobalRows& rows, std::size_t start,
+                       const TruncationOptions* opt) {
+  if (opt) {
+    const Int len = truncate_row(rows.cols.data() + start,
+                                 rows.vals.data() + start,
+                                 Int(rows.cols.size() - start), *opt);
+    rows.cols.resize(start + len);
+    rows.vals.resize(start + len);
+  }
+  rows.end_row();
+}
+
+/// S restricted to its C columns, each valued by the C point's global
+/// coarse id: the strong-C rows that seed Ĉ. Keeps S's column space.
+DistMatrix strong_coarse_rows(const DistMatrix& S,
+                              const std::vector<signed char>& is_c,
+                              const std::vector<Long>& cgid) {
+  const auto restrict_to_c = [&](const CSRMatrix& B, Int offset) {
+    CSRMatrix R(B.nrows, B.ncols);
+    for (Int i = 0; i < B.nrows; ++i) {
+      for (Int k = B.rowptr[i]; k < B.rowptr[i + 1]; ++k) {
+        const Int l = offset + B.colidx[k];
+        if (!is_c[l]) continue;
+        R.colidx.push_back(B.colidx[k]);
+        R.values.push_back(double(cgid[l]));
+      }
+      R.rowptr[i + 1] = Int(R.colidx.size());
+    }
+    return R;
+  };
+  DistMatrix SC;
+  SC.global_rows = S.global_rows;
+  SC.global_cols = S.global_cols;
+  SC.row_starts = S.row_starts;
+  SC.col_starts = S.col_starts;
+  SC.my_rank = S.my_rank;
+  SC.colmap = S.colmap;
+  SC.diag = restrict_to_c(S.diag, 0);
+  SC.offd = restrict_to_c(S.offd, S.local_cols());
+  return SC;
+}
+
 }  // namespace
 
-DistMatrix assemble_dist_from_rows(
-    simmpi::Comm& comm, const std::vector<Long>& row_starts,
-    const std::vector<Long>& col_starts,
-    const std::vector<std::vector<std::pair<Long, double>>>& rows) {
-  DistMatrix P;
-  P.global_rows = row_starts.back();
-  P.global_cols = col_starts.back();
-  P.row_starts = row_starts;
-  P.col_starts = col_starts;
-  P.my_rank = comm.rank();
-  const Int n = Int(rows.size());
-  const Long c0 = P.first_col(), c1 = P.last_col();
-  P.diag = CSRMatrix(n, P.local_cols());
-  P.offd = CSRMatrix(n, 0);
-  std::vector<Long> offd_cols;
-  for (Int i = 0; i < n; ++i) {
-    for (auto& [g, v] : rows[i]) {
-      if (g >= c0 && g < c1)
-        ++P.diag.rowptr[i + 1];
-      else {
-        ++P.offd.rowptr[i + 1];
-        offd_cols.push_back(g);
-      }
-    }
+DistMatrix truncate_dist_interp(simmpi::Comm& comm, const DistMatrix& P,
+                                const CFMarker& cf,
+                                const TruncationOptions& opt) {
+  GlobalRows rows;
+  for (Int i = 0; i < P.local_rows(); ++i) {
+    const std::size_t start = rows.cols.size();
+    for (Int k = P.diag.rowptr[i]; k < P.diag.rowptr[i + 1]; ++k)
+      rows.add(P.first_col() + P.diag.colidx[k], P.diag.values[k]);
+    for (Int k = P.offd.rowptr[i]; k < P.offd.rowptr[i + 1]; ++k)
+      rows.add(P.colmap[P.offd.colidx[k]], P.offd.values[k]);
+    end_row_truncated(rows, start, cf[i] <= 0 ? &opt : nullptr);
   }
-  exclusive_scan(P.diag.rowptr);
-  exclusive_scan(P.offd.rowptr);
-  P.colmap = parallel_sort_unique(std::move(offd_cols));
-  P.offd.ncols = Int(P.colmap.size());
-  P.diag.colidx.resize(P.diag.rowptr[n]);
-  P.diag.values.resize(P.diag.rowptr[n]);
-  P.offd.colidx.resize(P.offd.rowptr[n]);
-  P.offd.values.resize(P.offd.rowptr[n]);
-  parallel_for(0, n, [&](Int i) {
-    Int pd = P.diag.rowptr[i], po = P.offd.rowptr[i];
-    for (auto& [g, v] : rows[i]) {
-      if (g >= c0 && g < c1) {
-        P.diag.colidx[pd] = Int(g - c0);
-        P.diag.values[pd] = v;
-        ++pd;
-      } else {
-        P.offd.colidx[po] = sorted_find(P.colmap, g);
-        P.offd.values[po] = v;
-        ++po;
-      }
-    }
-  });
-  P.diag.sort_rows();
-  P.offd.sort_rows();
-  return P;
+  return dist_matrix_from_rows(comm, P.row_starts, P.col_starts, rows);
 }
 
 DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
@@ -113,6 +143,7 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
   TRACE_SPAN("interp.extpi_dist", "kernel", "rows",
              std::int64_t(A.local_rows()));
   const Int n = A.local_rows();
+  const Int m = Int(A.colmap.size());
   const Long r0 = A.first_row();
 
   // Halo data on A's colmap: CF markers and coarse ids of boundary points.
@@ -122,6 +153,21 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
   std::vector<Long> cid_ext;
   halo.exchange(cn.local_to_global, cid_ext);
 
+  // P is built in one local index space: owned points [0, n), A.colmap
+  // [n, n + m), then the distance-two C points that only the gathered SC
+  // rows name (appended below). is_c / cgid give each point's C marker and
+  // global coarse id.
+  std::vector<signed char> is_c(n + m);
+  std::vector<Long> cgid(n + m);
+  for (Int i = 0; i < n; ++i) {
+    is_c[i] = cf[i] > 0;
+    cgid[i] = cn.local_to_global[i];
+  }
+  for (Int j = 0; j < m; ++j) {
+    is_c[n + j] = cf_ext[j] > 0;
+    cgid[n + j] = cid_ext[j];
+  }
+
   // Local diagonal values (needed by the sender-side filter and by b_ik).
   std::vector<double> adiag(n, 0.0);
   parallel_for(0, n, [&](Int i) {
@@ -129,281 +175,253 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
       if (A.diag.colidx[k] == i) adiag[i] = A.diag.values[k];
   });
 
-  // --- Remote data: rows of strong F boundary points. ---
+  // --- Remote data: rows of strong F boundary points, requested in
+  // A.colmap order; ext_row[j] is colmap slot j's gathered row (or -1;
+  // 0 marks a wanted slot until the second loop numbers it). ---
+  std::vector<Int> ext_row(m, -1);
   std::vector<Long> needF;
-  {
-    StrongWalk sw;
-    std::vector<char> wanted(A.colmap.size(), 0);
-    for (Int i = 0; i < n; ++i) {
-      if (cf[i] > 0) continue;
-      sw.compute(A, S, i);
-      for (Int k : sw.offd)
-        if (cf_ext[A.offd.colidx[k]] <= 0) wanted[A.offd.colidx[k]] = 1;
-    }
-    for (std::size_t j = 0; j < wanted.size(); ++j)
-      if (wanted[j]) needF.push_back(A.colmap[j]);
+  for (Int i = 0; i < n; ++i) {
+    if (cf[i] > 0) continue;
+    for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k)
+      if (!is_c[n + S.offd.colidx[k]]) ext_row[S.offd.colidx[k]] = 0;
+  }
+  for (Int j = 0; j < m; ++j) {
+    if (ext_row[j] < 0) continue;
+    ext_row[j] = Int(needF.size());
+    needF.push_back(A.colmap[j]);
   }
 
-  // Coarse-adjacency rows ("SC"): strength entries restricted to C points,
-  // value = the C point's global coarse id. Serves Ĉ construction for
+  // Coarse-adjacency rows ("SC"): serve Ĉ construction, locally and for
   // remote strong F neighbors.
-  DistMatrix SC = S;
-  {
-    std::vector<std::vector<std::pair<Long, double>>> rows(n);
-    for (Int i = 0; i < n; ++i) {
-      for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1]; ++k) {
-        const Int c = S.diag.colidx[k];
-        if (cf[c] > 0)
-          rows[i].push_back({r0 + c, double(cn.local_to_global[c])});
-      }
-      for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k) {
-        const Int j = S.offd.colidx[k];
-        if (cf_ext[j] > 0)
-          rows[i].push_back({S.colmap[j], double(cid_ext[j])});
-      }
-    }
-    SC = assemble_dist_from_rows(comm, A.row_starts, A.row_starts, rows);
-  }
+  const DistMatrix SC = strong_coarse_rows(S, is_c, cgid);
   GatheredRows sc_rows = gather_rows(comm, SC, needF, nullptr, opt.persistent);
 
   // The §4.3 sender-side filter for A rows: keep the diagonal, keep
   // opposite-sign C columns, keep opposite-sign F columns the sender
   // strongly influences (candidates for the requester's own point i).
+  // Membership in ST row k is a stamp over the local index space.
   RowFilter filter = nullptr;
+  Marker st_mark(n + m);
+  Int st_row = -1;
+  std::vector<Int> st_local(ST.colmap.size(), -1);  // ST.colmap -> local
   if (opt.filtered_exchange) {
-    // Per-row cache of the sender's ST-row membership set.
-    auto st_set = std::make_shared<HashSet<Long>>(16);
-    auto cached_row = std::make_shared<Int>(-1);
-    filter = [&, st_set, cached_row](Int k, Long gcol, double v) -> bool {
-      if (gcol == r0 + k) return true;  // diagonal (carries the sign)
+    for (std::size_t c = 0; c < ST.colmap.size(); ++c)
+      if (Int j = sorted_find(A.colmap, ST.colmap[c]); j >= 0)
+        st_local[c] = n + j;
+    filter = [&](Int k, Int l, Long, double v) -> bool {
+      if (l == k) return true;  // diagonal (carries the sign)
       if (sign_of(v) == sign_of(adiag[k])) return false;  // ā_kl would be 0
-      // C point?
-      if (gcol >= r0 && gcol < A.last_row()) {
-        if (cf[Int(gcol - r0)] > 0) return true;
-      } else if (Int j = sorted_find(A.colmap, gcol); j >= 0) {
-        if (cf_ext[j] > 0) return true;
-      }
+      if (is_c[l]) return true;
       // F point: keep only if k strongly influences it (it may be the
       // requesting row i).
-      if (*cached_row != k) {
-        *st_set = HashSet<Long>(16);
+      if (st_row != k) {
+        st_mark.next();
         for (Int kk = ST.diag.rowptr[k]; kk < ST.diag.rowptr[k + 1]; ++kk)
-          st_set->insert(ST.first_col() + ST.diag.colidx[kk]);
+          st_mark.set(ST.diag.colidx[kk]);
         for (Int kk = ST.offd.rowptr[k]; kk < ST.offd.rowptr[k + 1]; ++kk)
-          st_set->insert(ST.colmap[ST.offd.colidx[kk]]);
-        *cached_row = k;
+          if (Int s = st_local[ST.offd.colidx[kk]]; s >= 0) st_mark.set(s);
+        st_row = k;
       }
-      return st_set->contains(gcol);
+      return st_mark.has(l);
     };
   }
   GatheredRows a_rows = gather_rows(comm, A, needF, filter, opt.persistent);
   if (info) info->gathered_bytes += a_rows.bytes_received +
                                     sc_rows.bytes_received;
 
-  // --- Row construction. ---
-  std::vector<std::vector<std::pair<Long, double>>> rows(n);
-  const auto ext_row_of = [&](Long g) { return sorted_find(needF, g); };
-
-  // Memory traffic as serial extpi_interp counts it: the strong-F rows
-  // walked for Ĉ_i, two passes over each distributing row, the output.
-  const auto count_read = [wc](Long entries, std::size_t entry_bytes) {
-    if (wc) wc->bytes_read += std::uint64_t(entries) * entry_bytes;
+  // Renumber the gathered SC columns once: the new distance-two C points
+  // extend the local index space at n + m.
+  RenumberInput rin;
+  rin.gcol = &sc_rows.gcol;
+  rin.own_first = r0;
+  rin.own_last = A.last_row();
+  rin.existing = &A.colmap;
+  rin.nloc = n;
+  const RenumberResult far = renumber_columns_parallel(rin, wc);
+  const Int nloc = n + m + Int(far.new_entries.size());
+  is_c.resize(nloc, 1);
+  cgid.resize(nloc);
+  for (std::size_t t = 0; t < far.local.size(); ++t)
+    if (far.local[t] >= n + m) cgid[far.local[t]] = Long(sc_rows.values[t]);
+  const auto local_of = [&](Long g) -> Int {
+    if (g >= r0 && g < r0 + n) return Int(g - r0);
+    if (Int j = sorted_find(A.colmap, g); j >= 0) return n + j;
+    if (Int j = sorted_find(far.new_entries, g); j >= 0) return n + m + j;
+    return -1;  // in no Ĉ of this rank
   };
-  StrongWalk sw;
-  HashMap<Long> chat(64);           // fine gid -> slot
-  std::vector<Long> chat_fine;      // slot -> fine gid
-  std::vector<Long> chat_coarse;    // slot -> coarse gid
-  std::vector<double> acc;
 
+  // --- §3.1.2 coarse segments of the distributing rows: local F row k is
+  // row k, gathered row e is row n + e. A segment keeps the row's
+  // opposite-sign C entries (ā != 0) in their original row order, each with
+  // its offset in the row, so b_ik can add ā_ki at its original position.
+  const Int ne = Int(needF.size());
+  std::vector<double> kdiag(adiag);
+  kdiag.resize(n + ne, 0.0);
+  std::vector<Int> seg_ptr(n + ne + 1, 0);
+  std::vector<Int> seg_loc, seg_off;
+  std::vector<double> seg_val;
+  const auto seg_push = [&](Int l, double v, Int off) {
+    seg_loc.push_back(l);
+    seg_val.push_back(v);
+    seg_off.push_back(off);
+  };
+  for (Int k = 0; k < n; ++k) {
+    if (cf[k] <= 0) {
+      Int off = 0;
+      for_each_local(A, k, [&](Int l, double v) {
+        if (is_c[l] && abar(kdiag[k], v) != 0.0) seg_push(l, v, off);
+        ++off;
+      });
+    }
+    seg_ptr[k + 1] = Int(seg_loc.size());
+  }
+  for (Int e = 0; e < ne; ++e) {
+    const Int lo = a_rows.rowptr[e], hi = a_rows.rowptr[e + 1];
+    for (Int t = lo; t < hi; ++t)
+      if (a_rows.gcol[t] == needF[e]) kdiag[n + e] = a_rows.values[t];
+    for (Int t = lo; t < hi; ++t) {
+      if (a_rows.gcol[t] == needF[e]) continue;
+      const Int l = local_of(a_rows.gcol[t]);
+      if (l >= 0 && is_c[l] && abar(kdiag[n + e], a_rows.values[t]) != 0.0)
+        seg_push(l, a_rows.values[t], t - lo);
+    }
+    seg_ptr[n + e + 1] = Int(seg_loc.size());
+  }
+  // ā_ki of distributing row r and its offset in that row; a zero ā_ki
+  // adds no term.
+  const auto abar_back = [&](Int r, Int i) -> std::pair<double, Int> {
+    if (r < n) {
+      const Int lo = A.diag.rowptr[r], hi = A.diag.rowptr[r + 1];
+      const Int* cols = A.diag.colidx.data();
+      const Int k = Int(std::lower_bound(cols + lo, cols + hi, i) - cols);
+      if (k < hi && cols[k] == i)
+        return {abar(kdiag[r], A.diag.values[k]), k - lo};
+      return {0.0, 0};
+    }
+    const Int e = r - n;
+    for (Int t = a_rows.rowptr[e]; t < a_rows.rowptr[e + 1]; ++t)
+      if (a_rows.gcol[t] == r0 + i)
+        return {abar(kdiag[r], a_rows.values[t]), t - a_rows.rowptr[e]};
+    return {0.0, 0};
+  };
+
+  // --- Row construction. ---
+  WorkCounters cnt;
+  Marker strong(n + m);
+  RowAccumulator row(nloc);
+  std::vector<std::pair<Int, double>> dist_rows;  // (row, a_ik), row order
+  GlobalRows out;
   for (Int i = 0; i < n; ++i) {
     if (cf[i] > 0) {
-      rows[i].push_back({cn.local_to_global[i], 1.0});
+      out.add(cgid[i], 1.0);
+      out.end_row();
       continue;
     }
-    sw.compute(A, S, i);
-    chat = HashMap<Long>(64);
-    chat_fine.clear();
-    chat_coarse.clear();
-    acc.clear();
-    auto chat_insert = [&](Long fine_gid, Long coarse_gid) {
-      const Int slot = Int(chat_fine.size());
-      if (chat.insert_or_get(fine_gid, slot) == slot &&
-          Int(chat_fine.size()) == slot) {
-        chat_fine.push_back(fine_gid);
-        chat_coarse.push_back(coarse_gid);
-        acc.push_back(0.0);
-      }
-      if (wc) ++wc->hash_probes;
+    strong.next();
+    for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1]; ++k)
+      strong.set(S.diag.colidx[k]);
+    for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k)
+      strong.set(n + S.offd.colidx[k]);
+    row.clear();
+    dist_rows.clear();
+    const auto chat_insert = [&](Int l) {
+      row.insert(l);
+      ++cnt.branches;
     };
 
-    // Seed Ĉ_i from strong neighbors and their strong C sets.
-    for (Int k : sw.diag) {
-      const Int j = A.diag.colidx[k];
-      if (cf[j] > 0) {
-        chat_insert(r0 + j, cn.local_to_global[j]);
+    // Seed Ĉ_i from strong neighbors and their strong C sets, in row order.
+    for_each_local(A, i, [&](Int l, double v) {
+      if (!strong.has(l)) return;
+      if (is_c[l]) {
+        chat_insert(l);
+      } else if (l < n) {
+        dist_rows.push_back({l, v});
+        for (Int ks = SC.diag.rowptr[l]; ks < SC.diag.rowptr[l + 1]; ++ks)
+          chat_insert(SC.diag.colidx[ks]);
+        for (Int ks = SC.offd.rowptr[l]; ks < SC.offd.rowptr[l + 1]; ++ks)
+          chat_insert(n + SC.offd.colidx[ks]);
+        cnt.bytes_read +=
+            (SC.diag.row_nnz(l) + SC.offd.row_nnz(l)) * sizeof(Int);
       } else {
-        for (Int ks = S.diag.rowptr[j]; ks < S.diag.rowptr[j + 1]; ++ks) {
-          const Int j2 = S.diag.colidx[ks];
-          if (j2 != i && cf[j2] > 0)
-            chat_insert(r0 + j2, cn.local_to_global[j2]);
-        }
-        for (Int ks = S.offd.rowptr[j]; ks < S.offd.rowptr[j + 1]; ++ks) {
-          const Int j2 = S.offd.colidx[ks];
-          if (cf_ext[j2] > 0) chat_insert(S.colmap[j2], cid_ext[j2]);
-        }
-        count_read(S.diag.row_nnz(j) + S.offd.row_nnz(j), sizeof(Int));
+        const Int e = ext_row[l - n];
+        dist_rows.push_back({n + e, v});
+        for (Int ks = sc_rows.rowptr[e]; ks < sc_rows.rowptr[e + 1]; ++ks)
+          chat_insert(far.local[ks]);
+        cnt.bytes_read +=
+            (sc_rows.rowptr[e + 1] - sc_rows.rowptr[e]) * sizeof(Int);
       }
+    });
+    if (row.cols.empty()) {  // no interpolatory set
+      out.end_row();
+      continue;
     }
-    for (Int k : sw.offd) {
-      const Int j = A.offd.colidx[k];
-      if (cf_ext[j] > 0) {
-        chat_insert(A.colmap[j], cid_ext[j]);
-      } else {
-        const Int e = ext_row_of(A.colmap[j]);
-        for (Int ks = sc_rows.rowptr[e]; ks < sc_rows.rowptr[e + 1]; ++ks) {
-          if (sc_rows.gcol[ks] != r0 + i)
-            chat_insert(sc_rows.gcol[ks], Long(sc_rows.values[ks]));
-        }
-        count_read(sc_rows.rowptr[e + 1] - sc_rows.rowptr[e],
-                   sizeof(Long) + sizeof(double));
-      }
-    }
-    if (chat_fine.empty()) continue;  // no interpolatory set
 
     // Numerator seeds + weak lumping into the diagonal.
     double atilde = 0.0;
-    {
-      std::size_t sp = 0;
-      for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
-        const Int j = A.diag.colidx[k];
-        const double v = A.diag.values[k];
-        if (j == i) {
-          atilde += v;
-          continue;
-        }
-        while (sp < sw.diag.size() && sw.diag[sp] < k) ++sp;
-        const bool strong = sp < sw.diag.size() && sw.diag[sp] == k;
-        const Int slot = chat.get(r0 + j, -1);
-        if (slot >= 0)
-          acc[slot] += v;
-        else if (!(strong && cf[j] <= 0))
-          atilde += v;
-      }
-      std::size_t so = 0;
-      for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k) {
-        const Int j = A.offd.colidx[k];
-        const double v = A.offd.values[k];
-        while (so < sw.offd.size() && sw.offd[so] < k) ++so;
-        const bool strong = so < sw.offd.size() && sw.offd[so] == k;
-        const Int slot = chat.get(A.colmap[j], -1);
-        if (slot >= 0)
-          acc[slot] += v;
-        else if (!(strong && cf_ext[j] <= 0))
-          atilde += v;
-      }
-    }
+    for_each_local(A, i, [&](Int l, double v) {
+      if (l == i)
+        atilde += v;
+      else if (const Int s = row.slot(l); s >= 0)
+        row.acc[s] += v;
+      else if (!(strong.has(l) && !is_c[l]))
+        atilde += v;
+    });
 
-    // Distance-two distribution through strong F neighbors.
-    auto distribute = [&](double a_ik, double a_kk, auto&& for_each_entry) {
-      // Pass 1: b_ik over Ĉ_i ∪ {i}.
+    // Distance-two distribution through strong F neighbors: b_ik and the
+    // scatter walk only row k's coarse segment, plus ā_ki.
+    for (const auto& [r, a_ik] : dist_rows) {
+      const auto [a_ki, off_ki] = abar_back(r, i);
       double b_ik = 0.0;
-      for_each_entry([&](Long l, double v) {
-        const double ab = abar(a_kk, v);
-        if (ab == 0.0) return;
-        if (l == r0 + i || chat.get(l, -1) >= 0) b_ik += ab;
-      });
+      bool ki_pending = a_ki != 0.0;
+      for (Int t = seg_ptr[r]; t < seg_ptr[r + 1]; ++t) {
+        if (ki_pending && seg_off[t] > off_ki) {
+          b_ik += a_ki;
+          ki_pending = false;
+        }
+        if (row.slot(seg_loc[t]) >= 0) b_ik += seg_val[t];
+      }
+      if (ki_pending) b_ik += a_ki;
+      cnt.branches += seg_ptr[r + 1] - seg_ptr[r];
+      cnt.bytes_read +=
+          (seg_ptr[r + 1] - seg_ptr[r]) * (2 * sizeof(Int) + sizeof(double));
       if (b_ik == 0.0) {
         atilde += a_ik;
-        return;
+        continue;
       }
       const double scale = a_ik / b_ik;
-      for_each_entry([&](Long l, double v) {
-        const double ab = abar(a_kk, v);
-        if (ab == 0.0) return;
-        if (l == r0 + i) {
-          atilde += scale * ab;
-        } else if (Int slot = chat.get(l, -1); slot >= 0) {
-          acc[slot] += scale * ab;
+      cnt.flops += 1;
+      if (a_ki != 0.0) {
+        atilde += scale * a_ki;
+        cnt.flops += 2;
+      }
+      for (Int t = seg_ptr[r]; t < seg_ptr[r + 1]; ++t) {
+        if (const Int s = row.slot(seg_loc[t]); s >= 0) {
+          row.acc[s] += scale * seg_val[t];
+          cnt.flops += 2;
         }
-        if (wc) wc->flops += 2;
-      });
-    };
-    for (Int k : sw.diag) {
-      const Int j = A.diag.colidx[k];
-      if (cf[j] > 0) continue;
-      distribute(A.diag.values[k], adiag[j], [&](auto&& fn) {
-        for (Int kk = A.diag.rowptr[j]; kk < A.diag.rowptr[j + 1]; ++kk)
-          fn(r0 + A.diag.colidx[kk], A.diag.values[kk]);
-        for (Int kk = A.offd.rowptr[j]; kk < A.offd.rowptr[j + 1]; ++kk)
-          fn(A.colmap[A.offd.colidx[kk]], A.offd.values[kk]);
-      });
-      count_read(2 * (A.diag.row_nnz(j) + A.offd.row_nnz(j)),
-                 sizeof(Int) + sizeof(double));
-    }
-    for (Int k : sw.offd) {
-      const Int j = A.offd.colidx[k];
-      if (cf_ext[j] > 0) continue;
-      const Long gk = A.colmap[j];
-      const Int e = ext_row_of(gk);
-      double a_kk = 0.0;
-      for (Int kk = a_rows.rowptr[e]; kk < a_rows.rowptr[e + 1]; ++kk)
-        if (a_rows.gcol[kk] == gk) a_kk = a_rows.values[kk];
-      distribute(A.offd.values[k], a_kk, [&](auto&& fn) {
-        for (Int kk = a_rows.rowptr[e]; kk < a_rows.rowptr[e + 1]; ++kk) {
-          if (a_rows.gcol[kk] == gk) continue;  // skip the diagonal
-          fn(a_rows.gcol[kk], a_rows.values[kk]);
-        }
-      });
-      count_read(2 * (a_rows.rowptr[e + 1] - a_rows.rowptr[e]),
-                 sizeof(Long) + sizeof(double));
+      }
     }
 
     // Finalize and (fused) truncate.
-    if (atilde == 0.0) continue;
-    const double inv = -1.0 / atilde;
-    std::vector<Long> rc;
-    std::vector<double> rv;
-    for (std::size_t s = 0; s < acc.size(); ++s) {
-      if (acc[s] == 0.0) continue;
-      rc.push_back(chat_coarse[s]);
-      rv.push_back(inv * acc[s]);
+    const std::size_t start = out.cols.size();
+    if (atilde != 0.0) {
+      const double inv = -1.0 / atilde;
+      for (std::size_t s = 0; s < row.cols.size(); ++s) {
+        if (row.acc[s] == 0.0) continue;
+        out.add(cgid[row.cols[s]], inv * row.acc[s]);
+        cnt.flops += 1;
+      }
     }
-    Int len = Int(rc.size());
-    if (opt.fused_truncation)
-      len = truncate_row(rc.data(), rv.data(), len, opt.truncation);
-    for (Int k = 0; k < len; ++k) rows[i].push_back({rc[k], rv[k]});
+    end_row_truncated(out, start,
+                      opt.fused_truncation ? &opt.truncation : nullptr);
   }
-  if (wc)
-    for (const auto& row : rows)
-      wc->bytes_written += row.size() * (sizeof(Int) + sizeof(double));
+  cnt.bytes_written += out.cols.size() * (sizeof(Long) + sizeof(double));
+  if (wc) *wc += cnt;
 
-  DistMatrix P = assemble_dist_from_rows(comm, A.row_starts, cn.starts, rows);
-  if (!opt.fused_truncation) {
-    // Baseline: whole-operator truncation as a second pass over P.
-    std::vector<std::vector<std::pair<Long, double>>> trows(n);
-    std::vector<Long> rc;
-    std::vector<double> rv;
-    for (Int i = 0; i < n; ++i) {
-      if (cf[i] > 0) {
-        trows[i] = {{cn.local_to_global[i], 1.0}};
-        continue;
-      }
-      rc.clear();
-      rv.clear();
-      for (Int k = P.diag.rowptr[i]; k < P.diag.rowptr[i + 1]; ++k) {
-        rc.push_back(P.first_col() + P.diag.colidx[k]);
-        rv.push_back(P.diag.values[k]);
-      }
-      for (Int k = P.offd.rowptr[i]; k < P.offd.rowptr[i + 1]; ++k) {
-        rc.push_back(P.colmap[P.offd.colidx[k]]);
-        rv.push_back(P.offd.values[k]);
-      }
-      const Int len = truncate_row(rc.data(), rv.data(), Int(rc.size()),
-                                   opt.truncation);
-      for (Int k = 0; k < len; ++k) trows[i].push_back({rc[k], rv[k]});
-    }
-    P = assemble_dist_from_rows(comm, A.row_starts, cn.starts, trows);
-  }
+  DistMatrix P = dist_matrix_from_rows(comm, A.row_starts, cn.starts, out);
+  // Baseline: whole-operator truncation as a second pass over P.
+  if (!opt.fused_truncation)
+    P = truncate_dist_interp(comm, P, cf, opt.truncation);
   return P;
 }
 
@@ -415,54 +433,67 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
   TRACE_SPAN("interp.multipass_dist", "kernel", "rows",
              std::int64_t(A.local_rows()));
   const Int n = A.local_rows();
+  const Int m = Int(A.colmap.size());
   const Long r0 = A.first_row();
+  const Long c0 = cn.starts[comm.rank()], c1 = cn.starts[comm.rank() + 1];
   HaloExchange halo(comm, A.colmap, A.row_starts, opt.persistent);
   std::vector<signed char> cf_ext;
   halo.exchange(cf, cf_ext);
   std::vector<Long> cid_ext;
   halo.exchange(cn.local_to_global, cid_ext);
+  const auto is_c = [&](Int l) {
+    return l < n ? cf[l] > 0 : cf_ext[l - n] > 0;
+  };
 
-  std::vector<std::vector<std::pair<Long, double>>> rows(n);
+  // Rows of P as spans of one append-only pool (global coarse columns): a
+  // row is final once its point is done.
+  std::vector<Int> row_at(n, 0), row_len(n, 0);
+  std::vector<Long> pcols;
+  std::vector<double> pvals;
+  const auto close_row = [&](Int i, Int at) {
+    row_at[i] = at;
+    row_len[i] = Int(pcols.size()) - at;
+  };
   std::vector<signed char> done(n, 0);
+  Marker strong(n + m);
+  const auto mark_strong = [&](Int i) {
+    strong.next();
+    for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1]; ++k)
+      strong.set(S.diag.colidx[k]);
+    for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k)
+      strong.set(n + S.offd.colidx[k]);
+  };
 
   // Pass 1: C identity + direct interpolation where a strong C neighbor
   // exists (needs only local rows + halo markers).
-  StrongWalk sw;
   for (Int i = 0; i < n; ++i) {
+    const Int at = Int(pcols.size());
     if (cf[i] > 0) {
-      rows[i].push_back({cn.local_to_global[i], 1.0});
+      pcols.push_back(cn.local_to_global[i]);
+      pvals.push_back(1.0);
+      close_row(i, at);
       done[i] = 1;
       continue;
     }
-    sw.compute(A, S, i);
+    mark_strong(i);
     double diag = 0.0, sum_all = 0.0, sum_c = 0.0;
-    for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
-      if (A.diag.colidx[k] == i)
-        diag = A.diag.values[k];
+    for_each_local(A, i, [&](Int l, double v) {
+      if (l == i)
+        diag = v;
       else
-        sum_all += A.diag.values[k];
-    }
-    for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k)
-      sum_all += A.offd.values[k];
-    for (Int k : sw.diag)
-      if (cf[A.diag.colidx[k]] > 0) sum_c += A.diag.values[k];
-    for (Int k : sw.offd)
-      if (cf_ext[A.offd.colidx[k]] > 0) sum_c += A.offd.values[k];
+        sum_all += v;
+      if (strong.has(l) && is_c(l)) sum_c += v;
+    });
     if (sum_c == 0.0 || diag == 0.0) continue;
     // Direct interpolation pushing the full off-diagonal row mass onto the
     // strong C set (same formula as the sequential multipass pass 1).
     const double alpha = sum_all / sum_c;
-    for (Int k : sw.diag) {
-      const Int j = A.diag.colidx[k];
-      if (cf[j] > 0)
-        rows[i].push_back(
-            {cn.local_to_global[j], -alpha * A.diag.values[k] / diag});
-    }
-    for (Int k : sw.offd) {
-      const Int j = A.offd.colidx[k];
-      if (cf_ext[j] > 0)
-        rows[i].push_back({cid_ext[j], -alpha * A.offd.values[k] / diag});
-    }
+    for_each_local(A, i, [&](Int l, double v) {
+      if (!(strong.has(l) && is_c(l))) return;
+      pcols.push_back(l < n ? cn.local_to_global[l] : cid_ext[l - n]);
+      pvals.push_back(-alpha * v / diag);
+    });
+    close_row(i, at);
     done[i] = 1;
   }
 
@@ -477,34 +508,31 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
     std::vector<signed char> done_ext;
     halo.exchange(done, done_ext);
 
-    // Which remote rows do we need? Done strong neighbors of undone points.
-    std::vector<Long> need;
+    // Which remote rows do we need? Done strong neighbors of undone points,
+    // requested in A.colmap order.
+    const int nranks = comm.size();
+    std::vector<std::vector<Long>> req(nranks);
+    std::vector<std::vector<Int>> req_slot(nranks);  // A.colmap slot
     {
-      std::vector<char> wanted(A.colmap.size(), 0);
+      std::vector<char> wanted(m, 0);
       for (Int i = 0; i < n; ++i) {
-        if (done[i] || cf[i] > 0) continue;
-        sw.compute(A, S, i);
-        for (Int k : sw.offd) {
-          const Int j = A.offd.colidx[k];
-          if (done_ext[j]) wanted[j] = 1;
-        }
+        if (done[i]) continue;
+        for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k)
+          if (done_ext[S.offd.colidx[k]]) wanted[S.offd.colidx[k]] = 1;
       }
-      for (std::size_t j = 0; j < wanted.size(); ++j)
-        if (wanted[j]) need.push_back(A.colmap[j]);
+      for (Int j = 0; j < m; ++j) {
+        if (!wanted[j]) continue;
+        auto it = std::upper_bound(A.row_starts.begin(), A.row_starts.end(),
+                                   A.colmap[j]);
+        const int owner = int(it - A.row_starts.begin()) - 1;
+        req[owner].push_back(A.colmap[j]);
+        req_slot[owner].push_back(j);
+      }
     }
     // Mini row gather from the dynamic structure (a DistMatrix would be
     // rebuilt every pass otherwise).
-    const int nranks = comm.size();
-    std::vector<std::vector<Long>> req(nranks);
-    for (Long g : need) {
-      auto it = std::upper_bound(A.row_starts.begin(), A.row_starts.end(), g);
-      req[int(it - A.row_starts.begin()) - 1].push_back(g);
-    }
     for (int r = 0; r < nranks; ++r)
       if (r != comm.rank()) comm.send_vec(r, kTagMp + pass, req[r]);
-    std::vector<std::vector<Long>> got_cols(nranks);
-    std::vector<std::vector<double>> got_vals(nranks);
-    std::vector<std::vector<Int>> got_lens(nranks);
     for (int r = 0; r < nranks; ++r) {
       if (r == comm.rank()) continue;
       std::vector<Long> theirs = comm.recv_vec<Long>(r, kTagMp + pass);
@@ -512,12 +540,12 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
       std::vector<Long> cols;
       std::vector<double> vals;
       for (Long g : theirs) {
-        const auto& row = rows[Int(g - r0)];
-        lens.push_back(Int(row.size()));
-        for (auto& [c, v] : row) {
-          cols.push_back(c);
-          vals.push_back(v);
-        }
+        const Int i = Int(g - r0);
+        lens.push_back(row_len[i]);
+        cols.insert(cols.end(), pcols.begin() + row_at[i],
+                    pcols.begin() + row_at[i] + row_len[i]);
+        vals.insert(vals.end(), pvals.begin() + row_at[i],
+                    pvals.begin() + row_at[i] + row_len[i]);
       }
       if (!theirs.empty()) {
         comm.send_vec(r, kTagMp + 20 + pass, lens, opt.persistent);
@@ -525,9 +553,10 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
         comm.send_vec(r, kTagMp + 60 + pass, vals, opt.persistent);
       }
     }
-    // Assemble received rows keyed by global id.
-    std::vector<Long> got_ids;
-    std::vector<std::vector<std::pair<Long, double>>> got_rows;
+    // Received rows, indexed by their A.colmap slot.
+    std::vector<Int> got_at(m, -1), got_len(m, 0);
+    std::vector<Long> gcols;
+    std::vector<double> gvals;
     for (int r = 0; r < nranks; ++r) {
       if (r == comm.rank() || req[r].empty()) continue;
       std::vector<Int> lens = comm.recv_vec<Int>(r, kTagMp + 20 + pass);
@@ -536,76 +565,74 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
       if (info)
         info->gathered_bytes += cols.size() * sizeof(Long) +
                                 vals.size() * sizeof(double);
-      Int pos = 0;
+      Int pos = Int(gcols.size());
       for (std::size_t k = 0; k < lens.size(); ++k) {
-        got_ids.push_back(req[r][k]);
-        std::vector<std::pair<Long, double>> row;
-        for (Int e = 0; e < lens[k]; ++e, ++pos)
-          row.push_back({cols[pos], vals[pos]});
-        got_rows.push_back(std::move(row));
+        got_at[req_slot[r][k]] = pos;
+        got_len[req_slot[r][k]] = lens[k];
+        pos += lens[k];
       }
+      gcols.insert(gcols.end(), cols.begin(), cols.end());
+      gvals.insert(gvals.end(), vals.begin(), vals.end());
     }
-    auto remote_row = [&](Long g) -> const std::vector<std::pair<Long, double>>* {
-      for (std::size_t k = 0; k < got_ids.size(); ++k)
-        if (got_ids[k] == g) return &got_rows[k];
-      return nullptr;
+
+    // Coarse columns in a local index space: owned [0, c1 - c0), then the
+    // other coarse ids the pool and the received rows name.
+    const Int ncl = Int(c1 - c0);
+    std::vector<Long> others;
+    for (const std::vector<Long>* v : {&pcols, &gcols})
+      for (Long g : *v)
+        if (g < c0 || g >= c1) others.push_back(g);
+    others = parallel_sort_unique(std::move(others));
+    const auto coarse_local = [&](Long g) {
+      return g >= c0 && g < c1 ? Int(g - c0) : ncl + sorted_find(others, g);
     };
+    RowAccumulator row(ncl + others.size());
 
     Long progressed = 0;
     std::vector<signed char> newly(n, 0);
     for (Int i = 0; i < n; ++i) {
       if (done[i]) continue;
-      sw.compute(A, S, i);
-      HashMap<Long> pos(16);
-      std::vector<Long> cols;
-      std::vector<double> acc;
+      mark_strong(i);
+      row.clear();
       double diag = 0.0, lump = 0.0;
       bool any = false;
-      auto substitute = [&](double a_ij,
-                            const std::vector<std::pair<Long, double>>& prow) {
+      const auto substitute = [&](double a_ij, const Long* cols,
+                                  const double* w, Int len) {
         any = true;
-        for (auto& [c, w] : prow) {
-          const Int slot = Int(cols.size());
-          const Int got = pos.insert_or_get(c, slot);
-          if (got == slot && Int(cols.size()) == slot) {
-            cols.push_back(c);
-            acc.push_back(0.0);
-          }
-          acc[pos.get(c)] += a_ij * w;
+        for (Int e = 0; e < len; ++e) {
+          const Int s = row.insert(coarse_local(cols[e]));
+          row.acc[s] += a_ij * w[e];
         }
       };
-      std::size_t sd = 0, so = 0;
-      for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
-        const Int j = A.diag.colidx[k];
-        const double v = A.diag.values[k];
-        if (j == i) {
+      for_each_local(A, i, [&](Int l, double v) {
+        if (l == i) {
           diag = v;
-          continue;
+        } else if (l < n) {
+          if (strong.has(l) && done[l])
+            substitute(v, pcols.data() + row_at[l], pvals.data() + row_at[l],
+                       row_len[l]);
+          else
+            lump += v;
+        } else {
+          const Int j = l - n;
+          if (strong.has(l) && done_ext[j] && got_at[j] >= 0)
+            substitute(v, gcols.data() + got_at[j], gvals.data() + got_at[j],
+                       got_len[j]);
+          else
+            lump += v;
         }
-        while (sd < sw.diag.size() && sw.diag[sd] < k) ++sd;
-        const bool strong = sd < sw.diag.size() && sw.diag[sd] == k;
-        if (strong && done[j])
-          substitute(v, rows[j]);
-        else
-          lump += v;
-      }
-      for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k) {
-        const Int j = A.offd.colidx[k];
-        const double v = A.offd.values[k];
-        while (so < sw.offd.size() && sw.offd[so] < k) ++so;
-        const bool strong = so < sw.offd.size() && sw.offd[so] == k;
-        const auto* prow =
-            (strong && done_ext[j]) ? remote_row(A.colmap[j]) : nullptr;
-        if (prow)
-          substitute(v, *prow);
-        else
-          lump += v;
-      }
+      });
       const double dd = diag + lump;
       if (!any || dd == 0.0) continue;
       const double inv = -1.0 / dd;
-      for (std::size_t s = 0; s < cols.size(); ++s)
-        if (acc[s] != 0.0) rows[i].push_back({cols[s], inv * acc[s]});
+      const Int at = Int(pcols.size());
+      for (std::size_t s = 0; s < row.cols.size(); ++s) {
+        if (row.acc[s] == 0.0) continue;
+        const Int c = row.cols[s];
+        pcols.push_back(c < ncl ? c0 + c : others[c - ncl]);
+        pvals.push_back(inv * row.acc[s]);
+      }
+      close_row(i, at);
       newly[i] = 1;
       ++progressed;
     }
@@ -615,22 +642,14 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
   }
 
   // Fused truncation per F row.
-  std::vector<Long> rc;
-  std::vector<double> rv;
+  GlobalRows rows;
   for (Int i = 0; i < n; ++i) {
-    if (cf[i] > 0) continue;
-    rc.clear();
-    rv.clear();
-    for (auto& [c, v] : rows[i]) {
-      rc.push_back(c);
-      rv.push_back(v);
-    }
-    const Int len =
-        truncate_row(rc.data(), rv.data(), Int(rc.size()), opt.truncation);
-    rows[i].clear();
-    for (Int k = 0; k < len; ++k) rows[i].push_back({rc[k], rv[k]});
+    const std::size_t start = rows.cols.size();
+    for (Int k = row_at[i]; k < row_at[i] + row_len[i]; ++k)
+      rows.add(pcols[k], pvals[k]);
+    end_row_truncated(rows, start, cf[i] <= 0 ? &opt.truncation : nullptr);
   }
-  return assemble_dist_from_rows(comm, A.row_starts, cn.starts, rows);
+  return dist_matrix_from_rows(comm, A.row_starts, cn.starts, rows);
 }
 
 }  // namespace hpamg

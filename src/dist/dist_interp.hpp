@@ -7,6 +7,10 @@
 // diagonal, opposite-sign coarse columns, and opposite-sign fine columns
 // the sender knows it strongly influences can ever be used by a receiver —
 // the paper measures a >3x communication-volume reduction from this.
+// Each rank then builds its rows as serial extended+i does (§3.1): in one
+// local index space (owned points, A.colmap, then the distance-two C
+// points of the gathered rows) with a marker array for Ĉ, and b_ik walks
+// only each distributing row's opposite-sign coarse entries (§3.1.2).
 //
 // Multipass interpolation needs one additional gather of remote
 // interpolation rows per pass (its long-range weights are compositions of
@@ -48,10 +52,11 @@ DistMatrix dist_multipass_interp(simmpi::Comm& comm, const DistMatrix& A,
                                  WorkCounters* wc = nullptr,
                                  DistInterpInfo* info = nullptr);
 
-/// Assembles a DistMatrix from per-row (global column, value) lists.
-DistMatrix assemble_dist_from_rows(
-    simmpi::Comm& comm, const std::vector<Long>& row_starts,
-    const std::vector<Long>& col_starts,
-    const std::vector<std::vector<std::pair<Long, double>>>& rows);
+/// Truncates every F row of P (cf <= 0) with truncate_row, in each row's
+/// [diag | offd] column order: the baseline's whole-operator pass and the
+/// final stage of 2-stage interpolation.
+DistMatrix truncate_dist_interp(simmpi::Comm& comm, const DistMatrix& P,
+                                const CFMarker& cf,
+                                const TruncationOptions& opt);
 
 }  // namespace hpamg

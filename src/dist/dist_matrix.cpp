@@ -76,71 +76,78 @@ std::vector<Long> even_partition(Long n, int nranks) {
   return starts;
 }
 
+DistMatrix dist_matrix_from_rows(simmpi::Comm& comm,
+                                 const std::vector<Long>& row_starts,
+                                 const std::vector<Long>& col_starts,
+                                 const GlobalRows& rows) {
+  DistMatrix M;
+  M.global_rows = row_starts.back();
+  M.global_cols = col_starts.back();
+  M.row_starts = row_starts;
+  M.col_starts = col_starts;
+  M.my_rank = comm.rank();
+  const Int n = M.local_rows();
+  require(rows.nrows() == n, "dist_matrix_from_rows: row count mismatch");
+  const Long c0 = M.first_col(), c1 = M.last_col();
+  const auto own = [&](Long g) { return g >= c0 && g < c1; };
+
+  M.diag = CSRMatrix(n, M.local_cols());
+  M.offd = CSRMatrix(n, 0);
+  std::vector<Long> offd_cols;
+  for (Int i = 0; i < n; ++i) {
+    for (Int k = rows.rowptr[i]; k < rows.rowptr[i + 1]; ++k) {
+      if (own(rows.cols[k])) {
+        ++M.diag.rowptr[i + 1];
+      } else {
+        ++M.offd.rowptr[i + 1];
+        offd_cols.push_back(rows.cols[k]);
+      }
+    }
+  }
+  exclusive_scan(M.diag.rowptr);
+  exclusive_scan(M.offd.rowptr);
+  M.colmap = parallel_sort_unique(std::move(offd_cols));
+  M.offd.ncols = Int(M.colmap.size());
+  M.diag.colidx.resize(M.diag.rowptr[n]);
+  M.diag.values.resize(M.diag.rowptr[n]);
+  M.offd.colidx.resize(M.offd.rowptr[n]);
+  M.offd.values.resize(M.offd.rowptr[n]);
+  parallel_for(0, n, [&](Int i) {
+    Int pd = M.diag.rowptr[i], po = M.offd.rowptr[i];
+    for (Int k = rows.rowptr[i]; k < rows.rowptr[i + 1]; ++k) {
+      const Long g = rows.cols[k];
+      if (own(g)) {
+        M.diag.colidx[pd] = Int(g - c0);
+        M.diag.values[pd++] = rows.vals[k];
+      } else {
+        const auto it = std::lower_bound(M.colmap.begin(), M.colmap.end(), g);
+        M.offd.colidx[po] = Int(it - M.colmap.begin());
+        M.offd.values[po++] = rows.vals[k];
+      }
+    }
+  });
+  M.diag.sort_rows();
+  M.offd.sort_rows();
+  return M;
+}
+
 DistMatrix build_dist_matrix(simmpi::Comm& comm, Long global_rows,
                              Long global_cols, const RowBuilder& rows,
                              const std::vector<Long>* row_starts) {
-  DistMatrix A;
-  A.global_rows = global_rows;
-  A.global_cols = global_cols;
-  A.my_rank = comm.rank();
-  A.row_starts =
+  const std::vector<Long> rs =
       row_starts ? *row_starts : even_partition(global_rows, comm.size());
-  A.col_starts = global_rows == global_cols
-                     ? A.row_starts
-                     : even_partition(global_cols, comm.size());
-  const Long r0 = A.first_row();
-  const Int nloc = A.local_rows();
-  const Long c0 = A.first_col(), c1 = A.last_col();
-
-  // Generate local rows once, splitting into diag / offd columns.
+  const std::vector<Long> cs = global_rows == global_cols
+                                   ? rs
+                                   : even_partition(global_cols, comm.size());
+  GlobalRows local;
   std::vector<std::pair<Long, double>> row;
-  std::vector<Long> offd_cols;
-  A.diag = CSRMatrix(nloc, A.local_cols());
-  A.offd = CSRMatrix(nloc, 0);
-  for (Int i = 0; i < nloc; ++i) {
+  for (Long g = rs[comm.rank()]; g < rs[comm.rank() + 1]; ++g) {
     row.clear();
-    rows(r0 + i, row);
-    Int nd = 0, no = 0;
-    for (auto& [gc, v] : row) {
-      if (gc >= c0 && gc < c1)
-        ++nd;
-      else {
-        ++no;
-        offd_cols.push_back(gc);
-      }
-    }
-    A.diag.rowptr[i + 1] = nd;
-    A.offd.rowptr[i + 1] = no;
+    rows(g, row);
+    for (const auto& [gc, v] : row) local.add(gc, v);
+    local.end_row();
   }
-  exclusive_scan(A.diag.rowptr);
-  exclusive_scan(A.offd.rowptr);
-  A.colmap = parallel_sort_unique(std::move(offd_cols));
-  A.offd.ncols = Int(A.colmap.size());
-  A.diag.colidx.resize(A.diag.rowptr[nloc]);
-  A.diag.values.resize(A.diag.rowptr[nloc]);
-  A.offd.colidx.resize(A.offd.rowptr[nloc]);
-  A.offd.values.resize(A.offd.rowptr[nloc]);
-  for (Int i = 0; i < nloc; ++i) {
-    row.clear();
-    rows(r0 + i, row);
-    Int pd = A.diag.rowptr[i], po = A.offd.rowptr[i];
-    for (auto& [gc, v] : row) {
-      if (gc >= c0 && gc < c1) {
-        A.diag.colidx[pd] = Int(gc - c0);
-        A.diag.values[pd] = v;
-        ++pd;
-      } else {
-        const auto it =
-            std::lower_bound(A.colmap.begin(), A.colmap.end(), gc);
-        A.offd.colidx[po] = Int(it - A.colmap.begin());
-        A.offd.values[po] = v;
-        ++po;
-      }
-    }
-  }
-  A.diag.sort_rows();
-  A.offd.sort_rows();
-  return A;
+  return dist_matrix_from_rows(comm, rs, cs, local);
 }
 
 DistMatrix distribute_csr(simmpi::Comm& comm, const CSRMatrix& A) {

@@ -58,6 +58,29 @@ class DistMatrix {
   Status check_partition(int nranks) const;
 };
 
+/// A rank's rows in one flat buffer with global column ids: row i holds
+/// (cols, vals)[rowptr[i], rowptr[i + 1]).
+struct GlobalRows {
+  std::vector<Int> rowptr{0};
+  std::vector<Long> cols;
+  std::vector<double> vals;
+
+  void add(Long col, double v) {
+    cols.push_back(col);
+    vals.push_back(v);
+  }
+  void end_row() { rowptr.push_back(Int(cols.size())); }
+  Int nrows() const { return Int(rowptr.size()) - 1; }
+};
+
+/// Splits the rank's rows into the diag block (columns in its slice of
+/// col_starts) and the offd block over a sorted compressed colmap; every
+/// row of both blocks comes out sorted by column.
+DistMatrix dist_matrix_from_rows(simmpi::Comm& comm,
+                                 const std::vector<Long>& row_starts,
+                                 const std::vector<Long>& col_starts,
+                                 const GlobalRows& rows);
+
 /// One global row as (global column, value) pairs.
 using RowBuilder =
     std::function<void(Long grow, std::vector<std::pair<Long, double>>& out)>;

@@ -1,13 +1,10 @@
 #include "dist/dist_spgemm.hpp"
 
-#include <algorithm>
-
 #include "dist/dist_transpose.hpp"
 #include "dist/halo.hpp"
 #include "dist/renumber.hpp"
 #include "spgemm/spgemm.hpp"
 #include "support/parallel.hpp"
-#include "support/sort.hpp"
 #include "support/timer.hpp"
 #include "support/trace.hpp"
 
@@ -132,55 +129,18 @@ DistMatrix dist_spgemm(simmpi::Comm& comm, const DistMatrix& A,
                                      : spgemm_twopass(Aloc, cb.M, wc);
   if (info) info->local_seconds += t_local.seconds();
 
-  // Split the combined-result columns back into diag/offd + fresh colmap.
-  DistMatrix C;
-  C.global_rows = A.global_rows;
-  C.global_cols = B.global_cols;
-  C.row_starts = A.row_starts;
-  C.col_starts = B.col_starts;
-  C.my_rank = comm.rank();
-  const Int nloc = C.local_rows();
+  // Back to global columns: combined column c < nbcols is B's own column.
   const Int nbcols = cb.nloc_cols;
-  C.diag = CSRMatrix(nloc, B.local_cols());
-  C.offd = CSRMatrix(nloc, 0);
-  std::vector<Long> used;
-  for (Int i = 0; i < nloc; ++i) {
-    for (Int k = Cloc.rowptr[i]; k < Cloc.rowptr[i + 1]; ++k) {
-      if (Cloc.colidx[k] < nbcols)
-        ++C.diag.rowptr[i + 1];
-      else {
-        ++C.offd.rowptr[i + 1];
-        used.push_back(cb.ext_colmap[Cloc.colidx[k] - nbcols]);
-      }
-    }
-  }
-  exclusive_scan(C.diag.rowptr);
-  exclusive_scan(C.offd.rowptr);
-  C.colmap = parallel_sort_unique(std::move(used));
-  C.offd.ncols = Int(C.colmap.size());
-  C.diag.colidx.resize(C.diag.rowptr[nloc]);
-  C.diag.values.resize(C.diag.rowptr[nloc]);
-  C.offd.colidx.resize(C.offd.rowptr[nloc]);
-  C.offd.values.resize(C.offd.rowptr[nloc]);
-  parallel_for(0, nloc, [&](Int i) {
-    Int pd = C.diag.rowptr[i], po = C.offd.rowptr[i];
-    for (Int k = Cloc.rowptr[i]; k < Cloc.rowptr[i + 1]; ++k) {
-      if (Cloc.colidx[k] < nbcols) {
-        C.diag.colidx[pd] = Cloc.colidx[k];
-        C.diag.values[pd] = Cloc.values[k];
-        ++pd;
-      } else {
-        const Long g = cb.ext_colmap[Cloc.colidx[k] - nbcols];
-        const auto it = std::lower_bound(C.colmap.begin(), C.colmap.end(), g);
-        C.offd.colidx[po] = Int(it - C.colmap.begin());
-        C.offd.values[po] = Cloc.values[k];
-        ++po;
-      }
-    }
+  const Long b0 = B.first_col();
+  GlobalRows rows;
+  rows.rowptr = std::move(Cloc.rowptr);
+  rows.vals = std::move(Cloc.values);
+  rows.cols.resize(Cloc.colidx.size());
+  parallel_for(0, Int(rows.cols.size()), [&](Int k) {
+    const Int c = Cloc.colidx[k];
+    rows.cols[k] = c < nbcols ? b0 + c : cb.ext_colmap[c - nbcols];
   });
-  C.diag.sort_rows();
-  C.offd.sort_rows();
-  return C;
+  return dist_matrix_from_rows(comm, A.row_starts, B.col_starts, rows);
 }
 
 DistMatrix dist_rap(simmpi::Comm& comm, const DistMatrix& A,

@@ -186,16 +186,18 @@ GatheredRows gather_rows(simmpi::Comm& comm, const DistMatrix& B,
     for (Long grow : theirs) {
       const Int i = Int(grow - base);
       Int len = 0;
-      auto emit = [&](Long gc, double v) {
-        if (filter && !filter(i, gc, v)) return;
+      auto emit = [&](Int lc, Long gc, double v) {
+        if (filter && !filter(i, lc, gc, v)) return;
         cols.push_back(gc);
         vals.push_back(v);
         ++len;
       };
       for (Int k = B.diag.rowptr[i]; k < B.diag.rowptr[i + 1]; ++k)
-        emit(B.first_col() + B.diag.colidx[k], B.diag.values[k]);
+        emit(B.diag.colidx[k], B.first_col() + B.diag.colidx[k],
+             B.diag.values[k]);
       for (Int k = B.offd.rowptr[i]; k < B.offd.rowptr[i + 1]; ++k)
-        emit(B.colmap[B.offd.colidx[k]], B.offd.values[k]);
+        emit(B.local_cols() + B.offd.colidx[k], B.colmap[B.offd.colidx[k]],
+             B.offd.values[k]);
       lens.push_back(len);
     }
     if (!theirs.empty()) {

@@ -82,9 +82,11 @@ class HaloExchange {
   std::vector<RecvPeer> recv_peers_;
 };
 
-/// Sender-side nonzero filter: (sender-local row, global column, value) ->
-/// keep? Null keeps everything.
-using RowFilter = std::function<bool(Int, Long, double)>;
+/// Sender-side nonzero filter: (sender-local row, sender-local column,
+/// global column, value) -> keep? The local column numbers the sender's
+/// [diag | offd] columns: diag column c is c, offd column c is
+/// local_cols() + c. Null keeps everything.
+using RowFilter = std::function<bool(Int, Int, Long, double)>;
 
 /// Remote matrix rows assembled on the requesting rank; columns remain
 /// global until column-index renumbering (renumber.hpp).

@@ -125,7 +125,7 @@ TEST(Halo, GatherRowsSenderFilterApplies) {
     DistMatrix dA = distribute_csr(c, A);
     // Keep only diagonal-ish entries: global col even.
     GatheredRows got = gather_rows(c, dA, dA.colmap,
-                                   [](Int, Long gc, double) {
+                                   [](Int, Int, Long gc, double) {
                                      return gc % 2 == 0;
                                    });
     for (Long gc : got.gcol) EXPECT_EQ(gc % 2, 0);

@@ -110,52 +110,58 @@ TEST_P(DistRanks, StrengthAndPmisMatchSequential) {
 }
 
 TEST_P(DistRanks, ExtPIInterpMatchesSequential) {
-  CSRMatrix A = lap2d_5pt(13, 13);
-  StrengthOptions so;
-  CSRMatrix S = strength_matrix(A, so);
-  CSRMatrix ST = transpose_parallel(S);
-  PmisOptions po;
-  CFMarker cf = pmis_coarsen(S, ST, po);
-  // Compare UNTRUNCATED operators: Eq. (1) is order-independent as a set,
-  // whereas max_elmts truncation breaks weight ties by construction order,
-  // which legitimately differs between the two builders.
-  ExtPIOptions eo;
-  eo.truncation.trunc_fact = 0.0;
-  eo.truncation.max_elmts = 0;
-  CSRMatrix Pref = extpi_interp(A, S, cf, eo);
-  Pref.sort_rows();
-  simmpi::run(GetParam(), [&](simmpi::Comm& c) {
-    DistMatrix dA = distribute_csr(c, A);
-    DistMatrix dS = dist_strength(dA, so);
-    DistMatrix dST = dist_transpose(c, dS);
-    CFMarker dcf = dist_pmis(c, dS, dST, po);
-    CoarseNumbering cn = coarse_numbering(c, dcf);
-    for (bool filtered : {true, false}) {
+  // The 27-point operator's strong F neighbors reach across rank
+  // boundaries at distance two, so Ĉ takes C points no colmap names.
+  for (const CSRMatrix& A : {lap2d_5pt(13, 13), lap3d_27pt(10, 10, 10)}) {
+    StrengthOptions so;
+    CSRMatrix S = strength_matrix(A, so);
+    CSRMatrix ST = transpose_parallel(S);
+    PmisOptions po;
+    CFMarker cf = pmis_coarsen(S, ST, po);
+    // Compare UNTRUNCATED operators: Eq. (1) is order-independent as a
+    // set, whereas max_elmts truncation breaks weight ties by construction
+    // order, which legitimately differs between the two implementations.
+    ExtPIOptions eo;
+    eo.truncation.trunc_fact = 0.0;
+    eo.truncation.max_elmts = 0;
+    CSRMatrix Pref = extpi_interp(A, S, cf, eo);
+    Pref.sort_rows();
+    simmpi::run(GetParam(), [&](simmpi::Comm& c) {
+      DistMatrix dA = distribute_csr(c, A);
+      DistMatrix dS = dist_strength(dA, so);
+      DistMatrix dST = dist_transpose(c, dS);
+      CFMarker dcf = dist_pmis(c, dS, dST, po);
+      for (Int i = 0; i < dA.local_rows(); ++i)
+        ASSERT_EQ(dcf[i], cf[dA.first_row() + i]) << "row " << i;
+      CoarseNumbering cn = coarse_numbering(c, dcf);
+      for (bool filtered : {true, false}) {
+        DistInterpOptions io;
+        io.truncation.trunc_fact = 0.0;
+        io.truncation.max_elmts = 0;
+        io.filtered_exchange = filtered;
+        DistMatrix dP = dist_extpi_interp(c, dA, dS, dST, dcf, cn, io);
+        dP.validate();
+        CSRMatrix P = gather_csr(c, dP);
+        P.sort_rows();
+        EXPECT_TRUE(csr_approx_equal(Pref, P, 1e-10))
+            << "n=" << A.nrows << " filtered=" << filtered;
+      }
+      // With the paper's truncation (0.1 / 4): row caps hold and row sums
+      // match the untruncated sums (truncation rescales to preserve them).
       DistInterpOptions io;
-      io.truncation.trunc_fact = 0.0;
-      io.truncation.max_elmts = 0;
-      io.filtered_exchange = filtered;
       DistMatrix dP = dist_extpi_interp(c, dA, dS, dST, dcf, cn, io);
-      dP.validate();
       CSRMatrix P = gather_csr(c, dP);
-      P.sort_rows();
-      EXPECT_TRUE(csr_approx_equal(Pref, P, 1e-10)) << "filtered=" << filtered;
-    }
-    // With the paper's truncation (0.1 / 4): row caps hold and row sums
-    // match the untruncated sums (truncation rescales to preserve them).
-    DistInterpOptions io;
-    DistMatrix dP = dist_extpi_interp(c, dA, dS, dST, dcf, cn, io);
-    CSRMatrix P = gather_csr(c, dP);
-    for (Int i = 0; i < P.nrows; ++i) {
-      if (cf[i] > 0) continue;
-      EXPECT_LE(P.row_nnz(i), 4);
-      double sp = 0, sr = 0;
-      for (Int k = P.rowptr[i]; k < P.rowptr[i + 1]; ++k) sp += P.values[k];
-      for (Int k = Pref.rowptr[i]; k < Pref.rowptr[i + 1]; ++k)
-        sr += Pref.values[k];
-      EXPECT_NEAR(sp, sr, 1e-9 * std::max(1.0, std::abs(sr)));
-    }
-  });
+      for (Int i = 0; i < P.nrows; ++i) {
+        if (cf[i] > 0) continue;
+        EXPECT_LE(P.row_nnz(i), 4);
+        double sp = 0, sr = 0;
+        for (Int k = P.rowptr[i]; k < P.rowptr[i + 1]; ++k) sp += P.values[k];
+        for (Int k = Pref.rowptr[i]; k < Pref.rowptr[i + 1]; ++k)
+          sr += Pref.values[k];
+        EXPECT_NEAR(sp, sr, 1e-9 * std::max(1.0, std::abs(sr)));
+      }
+    });
+  }
 }
 
 TEST_P(DistRanks, FilteredExchangeShrinksVolume) {
@@ -364,6 +370,53 @@ TEST(DistSolve, CoarseFallbackWhenMaxLevelsCaps) {
     Vector b(dA.local_rows(), 1.0), x(dA.local_rows(), 0.0);
     DistSolveResult r = dist_fgmres(c, dA, h, b, x, 1e-7, 200);
     EXPECT_TRUE(r.converged);
+  });
+}
+
+TEST(DistSolve, Ei4HierarchyIsPinned) {
+  // Table 4 ei(4) on 4 ranks, pinned: a rewrite of the distributed
+  // setup kernels must keep every level's operator. max_elmts = 4 breaks weight
+  // ties by Ĉ insertion order, so a changed insertion order moves the
+  // column-weighted checksum of P, and usually the coarse nnz.
+  struct Level {
+    Long rows, a_nnz, p_nnz;
+    double p_checksum;  ///< sum over P entries of (column + 1) * value
+  };
+  const Level want[] = {{4096, 97336, 15145, 608768.46693527733},
+                        {348, 14644, 1086, 12750.866890237328},
+                        {102, 4036, 151, 1538.6091259901386},
+                        {51, 1357, 0, 0.0}};
+  CSRMatrix A = lap3d_27pt(16, 16, 16);
+  simmpi::run(4, [&](simmpi::Comm& c) {
+    DistMatrix dA = distribute_csr(c, A);
+    DistAMGOptions o;
+    o.strength.threshold = 0.25;
+    o.strength.max_row_sum = 0.8;
+    o.truncation.trunc_fact = 0.1;
+    o.truncation.max_elmts = 4;
+    o.interp = InterpKind::kExtPI;
+    DistHierarchy h = dist_amg_setup(c, dA, o);
+    ASSERT_EQ(h.levels.size(), std::size(want));
+    for (std::size_t l = 0; l < h.levels.size(); ++l) {
+      const DistLevel& L = h.levels[l];
+      EXPECT_EQ(L.A.global_rows, want[l].rows) << "level " << l;
+      EXPECT_EQ(c.allreduce_sum(L.A.nnz_local()), want[l].a_nnz)
+          << "level " << l;
+      EXPECT_EQ(c.allreduce_sum(L.P.nnz_local()), want[l].p_nnz)
+          << "level " << l;
+      if (L.P.global_rows == 0) continue;
+      CSRMatrix P = gather_csr(c, L.P);
+      double sum = 0.0;
+      for (Int i = 0; i < P.nrows; ++i)
+        for (Int k = P.rowptr[i]; k < P.rowptr[i + 1]; ++k)
+          sum += (P.colidx[k] + 1) * P.values[k];
+      EXPECT_NEAR(sum, want[l].p_checksum, 1e-10 * want[l].p_checksum)
+          << "level " << l;
+    }
+    Vector b(dA.local_rows(), 1.0), x(dA.local_rows(), 0.0);
+    DistSolveResult r = dist_fgmres(c, dA, h, b, x, 1e-7, 100);
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, 7);
   });
 }
 
