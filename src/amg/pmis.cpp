@@ -13,13 +13,18 @@ constexpr signed char kUndecided = 0;
 constexpr signed char kCoarse = 1;
 constexpr signed char kFine = -1;
 
-std::vector<double> pmis_measures(const CSRMatrix& ST, const PmisOptions& opt) {
+/// w(i) = |ST row i| + rand(i), with ST's row split over its diag and
+/// offd blocks and the counter RNG keyed by the global row.
+std::vector<double> pmis_measures(const CSRMatrix& ST,
+                                  const CSRMatrix* ST_offd, Long first_row,
+                                  const PmisOptions& opt) {
   const Int n = ST.nrows;
   std::vector<double> w(n);
-  if (opt.rng == RngKind::kParallelCounter) {
+  if (opt.rng == RngKind::kParallelCounter || ST_offd) {
     CounterRng rng(opt.seed);
     parallel_for(0, n, [&](Int i) {
-      w[i] = double(ST.row_nnz(i)) + rng.uniform(i);
+      const Int deg = ST.row_nnz(i) + (ST_offd ? ST_offd->row_nnz(i) : 0);
+      w[i] = double(deg) + rng.uniform(std::uint64_t(first_row + i));
     });
   } else {
     SequentialRng rng(opt.seed);
@@ -30,14 +35,20 @@ std::vector<double> pmis_measures(const CSRMatrix& ST, const PmisOptions& opt) {
 
 }  // namespace
 
-CFMarker pmis_coarsen(const CSRMatrix& S, const CSRMatrix& ST,
-                      const PmisOptions& opt, WorkCounters* wc) {
-  TRACE_SPAN("pmis", "kernel", "rows", std::int64_t(S.nrows));
-  require(S.nrows == S.ncols && ST.nrows == S.nrows,
-          "pmis_coarsen: bad shapes");
+// lint: counted-no-span(shared body; pmis_coarsen and dist_pmis open the span)
+CFMarker pmis_rounds(const CSRMatrix& S, const CSRMatrix& ST,
+                     const PmisOptions& opt, PmisHalo* halo,
+                     WorkCounters* wc) {
   const Int n = S.nrows;
-  std::vector<double> w = pmis_measures(ST, opt);
+  const CSRMatrix* So = halo ? halo->S_offd : nullptr;
+  const CSRMatrix* STo = halo ? halo->ST_offd : nullptr;
+  std::vector<double> w =
+      pmis_measures(ST, STo, halo ? halo->first_row : 0, opt);
   CFMarker cf(n, kUndecided);
+  if (halo) halo->share_measures(w);
+  const auto refresh = [&](bool both) {
+    if (halo) halo->refresh(cf, both);
+  };
 
   // Points that strongly influence nobody (w < 1) can never be useful C
   // points. Points with no strong connections at all in either direction
@@ -47,13 +58,13 @@ CFMarker pmis_coarsen(const CSRMatrix& S, const CSRMatrix& ST,
   });
 
   std::vector<signed char> next(cf);
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  while (true) {
     // Phase 1: select the distributed independent set — an undecided point
     // becomes C if its measure beats all undecided strong neighbors (in
     // both directions of the strength graph).
+    refresh(true);
     std::int64_t promoted = 0;
+    // lint: no-span(shared body; pmis_coarsen and dist_pmis open the span)
 #pragma omp parallel for schedule(dynamic, 256) reduction(+ : promoted)
     for (Int i = 0; i < n; ++i) {
       if (cf[i] != kUndecided) continue;
@@ -69,38 +80,71 @@ CFMarker pmis_coarsen(const CSRMatrix& S, const CSRMatrix& ST,
         const Int j = ST.colidx[k];
         if (j != i && cf[j] == kUndecided && w[j] >= w[i]) best = false;
       }
+      if (So)
+        for (Int k = So->rowptr[i]; k < So->rowptr[i + 1] && best; ++k) {
+          const Int j = So->colidx[k];
+          if (halo->cf_s[j] == kUndecided && halo->w_s[j] >= w[i])
+            best = false;
+        }
+      if (STo)
+        for (Int k = STo->rowptr[i]; k < STo->rowptr[i + 1] && best; ++k) {
+          const Int j = STo->colidx[k];
+          if (halo->cf_st[j] == kUndecided && halo->w_st[j] >= w[i])
+            best = false;
+        }
       if (best) {
         next[i] = kCoarse;
         ++promoted;
       }
     }
-    if (promoted > 0) changed = true;
     parallel_for(0, n, [&](Int i) { cf[i] = next[i]; });
 
     // Phase 2: every undecided point strongly influenced by a new C point
     // becomes F (it will interpolate from that C point).
+    refresh(false);
     std::int64_t demoted = 0;
+    // lint: no-span(shared body; pmis_coarsen and dist_pmis open the span)
 #pragma omp parallel for schedule(dynamic, 256) reduction(+ : demoted)
     for (Int i = 0; i < n; ++i) {
       if (cf[i] != kUndecided) continue;
-      for (Int k = S.rowptr[i]; k < S.rowptr[i + 1]; ++k) {
-        if (cf[S.colidx[k]] == kCoarse) {
-          next[i] = kFine;
-          ++demoted;
-          break;
-        }
+      bool fine = false;
+      for (Int k = S.rowptr[i]; k < S.rowptr[i + 1] && !fine; ++k)
+        fine = cf[S.colidx[k]] == kCoarse;
+      if (So)
+        for (Int k = So->rowptr[i]; k < So->rowptr[i + 1] && !fine; ++k)
+          fine = halo->cf_s[So->colidx[k]] == kCoarse;
+      if (fine) {
+        next[i] = kFine;
+        ++demoted;
       }
     }
-    if (demoted > 0) changed = true;
     parallel_for(0, n, [&](Int i) { cf[i] = next[i]; });
+
+    Long changed = Long(promoted + demoted);
+    if (halo) changed = halo->reduce(changed);
+    if (changed == 0) break;
   }
   // Anything still undecided has no undecided strong neighbors and no C
   // influencer; make it C if it influences someone, F otherwise.
   parallel_for(0, n, [&](Int i) {
-    if (cf[i] == kUndecided) cf[i] = ST.row_nnz(i) > 0 ? kCoarse : kFine;
+    if (cf[i] == kUndecided)
+      cf[i] = ST.row_nnz(i) + (STo ? STo->row_nnz(i) : 0) > 0 ? kCoarse
+                                                              : kFine;
   });
-  if (wc) wc->bytes_read += 4 * (S.nnz() + ST.nnz()) * sizeof(Int);
+  if (wc) {
+    const Long nnz = S.nnz() + ST.nnz() + (So ? So->nnz() : 0) +
+                     (STo ? STo->nnz() : 0);
+    wc->bytes_read += 4 * nnz * sizeof(Int);
+  }
   return cf;
+}
+
+CFMarker pmis_coarsen(const CSRMatrix& S, const CSRMatrix& ST,
+                      const PmisOptions& opt, WorkCounters* wc) {
+  TRACE_SPAN("pmis", "kernel", "rows", std::int64_t(S.nrows));
+  require(S.nrows == S.ncols && ST.nrows == S.nrows,
+          "pmis_coarsen: bad shapes");
+  return pmis_rounds(S, ST, opt, nullptr, wc);
 }
 
 CFMarker pmis_aggressive(const CSRMatrix& S, const CSRMatrix& ST,

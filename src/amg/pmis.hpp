@@ -12,6 +12,8 @@
 // to reproduce the baseline.
 #pragma once
 
+#include <functional>
+
 #include "matrix/csr.hpp"
 #include "matrix/permute.hpp"
 #include "support/counters.hpp"
@@ -30,6 +32,33 @@ struct PmisOptions {
 /// <0 fine.
 CFMarker pmis_coarsen(const CSRMatrix& S, const CSRMatrix& ST,
                       const PmisOptions& opt = {}, WorkCounters* wc = nullptr);
+
+/// The distributed side of the PMIS round loop. A rank's rows of S and ST
+/// add offd blocks whose columns name external points; w_s/w_st and
+/// cf_s/cf_st hold those points' measures and markers, which the hooks
+/// keep current. Serial runs have none of it.
+struct PmisHalo {
+  const CSRMatrix* S_offd = nullptr;
+  const CSRMatrix* ST_offd = nullptr;
+  Long first_row = 0;  ///< global id of row 0: keys the counter RNG
+  std::vector<double> w_s, w_st;
+  std::vector<signed char> cf_s, cf_st;
+  /// Called once with the local measures: fills w_s and w_st.
+  std::function<void(const std::vector<double>& w)> share_measures;
+  /// Refreshes cf_s, and cf_st too if `both`, from the local markers.
+  std::function<void(const CFMarker& cf, bool both)> refresh;
+  /// Sums a round's changed count over all ranks.
+  std::function<Long(Long)> reduce;
+};
+
+/// The one PMIS round loop over the diag blocks S and ST and, if `halo`
+/// is given, its offd blocks and hooks. pmis_coarsen is the instance with
+/// no halo; dist_pmis passes a rank's blocks, its two halo exchanges and
+/// its allreduce. The sequential RNG is serial-only: with a halo the
+/// counter RNG is keyed by global row.
+CFMarker pmis_rounds(const CSRMatrix& S, const CSRMatrix& ST,
+                     const PmisOptions& opt, PmisHalo* halo,
+                     WorkCounters* wc = nullptr);
 
 /// Aggressive coarsening: PMIS followed by a second PMIS pass over the
 /// first-pass C points using the distance-two strength graph (paths C-C and

@@ -32,4 +32,16 @@ CSRMatrix strength_matrix_serial(const CSRMatrix& A,
                                  const StrengthOptions& opt,
                                  WorkCounters* wc = nullptr);
 
+/// The one strength kernel, over a row block split into `diag` (square;
+/// row i's diagonal at column i) and `offd` (further columns, or null):
+/// each row's test visits row i of diag and then of offd in place. S_diag
+/// and S_offd (null iff offd is) get the strong entries in the blocks'
+/// column spaces. `parallel_assembly` selects the prefix-sum assembly
+/// (§3.3) or the sequential append. The two functions above are the
+/// instances with no offd; dist_strength passes a rank's diag/offd blocks.
+void strength_blocks(const CSRMatrix& diag, const CSRMatrix* offd,
+                     const StrengthOptions& opt, bool parallel_assembly,
+                     CSRMatrix& S_diag, CSRMatrix* S_offd,
+                     WorkCounters* wc = nullptr);
+
 }  // namespace hpamg

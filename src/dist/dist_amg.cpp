@@ -312,6 +312,28 @@ void dist_vcycle_level(simmpi::Comm& comm, DistHierarchy& h, Int l,
   }
 }
 
+/// The finalization every level shares: the smoother's inverse diagonal,
+/// the halo of A, the work vectors, and the level's stats row (nnz summed
+/// over ranks; `coarse_rows` is 0 on the coarsest level, which has no P).
+void finalize_level(simmpi::Comm& comm, DistHierarchy& h, DistLevel& L,
+                    Int coarse_rows, bool persistent) {
+  const Int n = L.A.local_rows();
+  L.inv_diag.assign(n, 1.0);
+  for (Int i = 0; i < n; ++i)
+    for (Int k = L.A.diag.rowptr[i]; k < L.A.diag.rowptr[i + 1]; ++k)
+      if (L.A.diag.colidx[k] == i && L.A.diag.values[k] != 0.0)
+        L.inv_diag[i] = 1.0 / L.A.diag.values[k];
+  L.halo_A = std::make_unique<HaloExchange>(comm, L.A.colmap, L.A.row_starts,
+                                            persistent);
+  L.b.assign(n, 0.0);
+  L.x.assign(n, 0.0);
+  L.r.assign(n, 0.0);
+  L.temp.assign(std::max<std::size_t>(n, 1), 0.0);
+  h.stats.push_back(
+      {Int(L.A.global_rows), 0, coarse_rows, L.P.nnz_local()});
+  h.stats.back().nnz = comm.allreduce_sum(L.A.nnz_local());
+}
+
 }  // namespace
 
 DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
@@ -438,30 +460,16 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
     // ---- Level finalization ----
     attrib::Probe finalize = probe("setup.finalize", "Setup_etc", l);
     L.cf = cf;
-    const Int n = L.A.local_rows();
-    L.inv_diag.assign(n, 1.0);
-    for (Int i = 0; i < n; ++i)
-      for (Int k = L.A.diag.rowptr[i]; k < L.A.diag.rowptr[i + 1]; ++k)
-        if (L.A.diag.colidx[k] == i && L.A.diag.values[k] != 0.0)
-          L.inv_diag[i] = 1.0 / L.A.diag.values[k];
     if (optimized) {
-      for (Int i = 0; i < n; ++i)
+      for (Int i = 0; i < L.A.local_rows(); ++i)
         (cf[i] > 0 ? L.c_rows : L.f_rows).push_back(i);
     }
-    L.halo_A = std::make_unique<HaloExchange>(comm, L.A.colmap,
-                                              L.A.row_starts, optimized);
+    finalize_level(comm, h, L, Int(cn.global_coarse), optimized);
     L.halo_P = std::make_unique<HaloExchange>(comm, L.P.colmap,
                                               L.P.col_starts, optimized);
     if (L.has_R)
       L.halo_R = std::make_unique<HaloExchange>(comm, L.R.colmap,
                                                 L.R.col_starts, optimized);
-    L.b.assign(n, 0.0);
-    L.x.assign(n, 0.0);
-    L.r.assign(n, 0.0);
-    L.temp.assign(std::max<std::size_t>(n, 1), 0.0);
-    h.stats.push_back({Int(L.A.global_rows), 0, Int(cn.global_coarse),
-                       L.P.nnz_local()});
-    h.stats.back().nnz = comm.allreduce_sum(L.A.nnz_local());
     finalize.finish();
     h.levels.push_back(std::move(L));
     A = std::move(A_next);
@@ -490,20 +498,7 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
       h.events.push_back(std::move(ev));
     }
     if (full.nrows <= 4096) h.coarse_lu = LUSolver(full);
-    const Int n = L.A.local_rows();
-    L.inv_diag.assign(n, 1.0);
-    for (Int i = 0; i < n; ++i)
-      for (Int k = L.A.diag.rowptr[i]; k < L.A.diag.rowptr[i + 1]; ++k)
-        if (L.A.diag.colidx[k] == i && L.A.diag.values[k] != 0.0)
-          L.inv_diag[i] = 1.0 / L.A.diag.values[k];
-    L.halo_A = std::make_unique<HaloExchange>(comm, L.A.colmap,
-                                              L.A.row_starts, true);
-    L.b.assign(n, 0.0);
-    L.x.assign(n, 0.0);
-    L.r.assign(n, 0.0);
-    L.temp.assign(std::max<std::size_t>(n, 1), 0.0);
-    h.stats.push_back({Int(L.A.global_rows), 0, 0, 0});
-    h.stats.back().nnz = comm.allreduce_sum(L.A.nnz_local());
+    finalize_level(comm, h, L, 0, true);
     h.levels.push_back(std::move(L));
   }
   h.setup_comm = comm.stats().delta_since(comm_before);

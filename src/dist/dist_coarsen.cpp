@@ -1,55 +1,16 @@
 #include "dist/dist_coarsen.hpp"
 
-#include <algorithm>
-
 #include "dist/dist_transpose.hpp"
+#include "support/check.hpp"
 #include "support/hash.hpp"
 #include "support/parallel.hpp"
-#include "support/rng.hpp"
-#include "support/sort.hpp"
 #include "support/trace.hpp"
 
 namespace hpamg {
 
 namespace {
-constexpr signed char kUndecided = 0;
 constexpr signed char kCoarse = 1;
 constexpr signed char kFine = -1;
-constexpr int kTagS2 = 7301;
-
-/// One row's strength test over diag+offd (diagonal lives in diag at local
-/// column i).
-void strong_columns_dist(const DistMatrix& A, Int i,
-                         const StrengthOptions& opt,
-                         std::vector<Int>& strong_diag,
-                         std::vector<Int>& strong_offd) {
-  strong_diag.clear();
-  strong_offd.clear();
-  double diag = 0.0, row_sum = 0.0, max_off = 0.0;
-  for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
-    row_sum += A.diag.values[k];
-    if (A.diag.colidx[k] == i) diag = A.diag.values[k];
-  }
-  for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k)
-    row_sum += A.offd.values[k];
-  const double sgn = diag >= 0 ? 1.0 : -1.0;
-  for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k)
-    if (A.diag.colidx[k] != i)
-      max_off = std::max(max_off, -sgn * A.diag.values[k]);
-  for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k)
-    max_off = std::max(max_off, -sgn * A.offd.values[k]);
-  if (max_off <= 0.0) return;
-  if (opt.max_row_sum < 1.0 &&
-      std::abs(row_sum) > opt.max_row_sum * std::abs(diag))
-    return;
-  const double cut = opt.threshold * max_off;
-  for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k)
-    if (A.diag.colidx[k] != i && -sgn * A.diag.values[k] >= cut)
-      strong_diag.push_back(k);
-  for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k)
-    if (-sgn * A.offd.values[k] >= cut) strong_offd.push_back(k);
-}
-
 }  // namespace
 
 DistMatrix dist_strength(const DistMatrix& A, const StrengthOptions& opt,
@@ -63,52 +24,8 @@ DistMatrix dist_strength(const DistMatrix& A, const StrengthOptions& opt,
   S.col_starts = A.col_starts;
   S.my_rank = A.my_rank;
   S.colmap = A.colmap;  // shared compressed column space
-  const Int n = A.local_rows();
-  S.diag = CSRMatrix(n, A.diag.ncols);
-  S.offd = CSRMatrix(n, A.offd.ncols);
-
-  auto fill_counts = [&](Int i) {
-    thread_local std::vector<Int> sd, so;
-    strong_columns_dist(A, i, opt, sd, so);
-    S.diag.rowptr[i + 1] = Int(sd.size());
-    S.offd.rowptr[i + 1] = Int(so.size());
-  };
-  auto fill_values = [&](Int i) {
-    thread_local std::vector<Int> sd, so;
-    strong_columns_dist(A, i, opt, sd, so);
-    Int pd = S.diag.rowptr[i];
-    for (Int k : sd) {
-      S.diag.colidx[pd] = A.diag.colidx[k];
-      S.diag.values[pd] = 1.0;
-      ++pd;
-    }
-    Int po = S.offd.rowptr[i];
-    for (Int k : so) {
-      S.offd.colidx[po] = A.offd.colidx[k];
-      S.offd.values[po] = 1.0;
-      ++po;
-    }
-  };
-  if (parallel_assembly) {
-    parallel_for_dynamic(0, n, fill_counts);
-    exclusive_scan(S.diag.rowptr);
-    exclusive_scan(S.offd.rowptr);
-    S.diag.colidx.resize(S.diag.rowptr[n]);
-    S.diag.values.resize(S.diag.rowptr[n]);
-    S.offd.colidx.resize(S.offd.rowptr[n]);
-    S.offd.values.resize(S.offd.rowptr[n]);
-    parallel_for_dynamic(0, n, fill_values);
-  } else {
-    for (Int i = 0; i < n; ++i) fill_counts(i);
-    exclusive_scan(S.diag.rowptr);
-    exclusive_scan(S.offd.rowptr);
-    S.diag.colidx.resize(S.diag.rowptr[n]);
-    S.diag.values.resize(S.diag.rowptr[n]);
-    S.offd.colidx.resize(S.offd.rowptr[n]);
-    S.offd.values.resize(S.offd.rowptr[n]);
-    for (Int i = 0; i < n; ++i) fill_values(i);
-  }
-  if (wc) wc->bytes_read += 2 * A.nnz_local() * (sizeof(Int) + sizeof(double));
+  strength_blocks(A.diag, &A.offd, opt, parallel_assembly, S.diag, &S.offd,
+                  wc);
   return S;
 }
 
@@ -116,88 +33,22 @@ CFMarker dist_pmis(simmpi::Comm& comm, const DistMatrix& S,
                    const DistMatrix& ST, const PmisOptions& opt,
                    WorkCounters* wc) {
   TRACE_SPAN("pmis.dist", "kernel", "rows", std::int64_t(S.local_rows()));
-  const Int n = S.local_rows();
-  const Long r0 = S.first_row();
-
-  // Measures: w(i) = |ST row i| + rand(global i); the counter RNG keyed by
-  // the GLOBAL index makes the splitting independent of the partitioning.
-  std::vector<double> w(n);
-  CounterRng rng(opt.seed);
-  parallel_for(0, n, [&](Int i) {
-    w[i] = double(ST.diag.row_nnz(i) + ST.offd.row_nnz(i)) +
-           rng.uniform(std::uint64_t(r0 + i));
-  });
-
   HaloExchange halo_s(comm, S.colmap, S.row_starts, true);
   HaloExchange halo_st(comm, ST.colmap, ST.row_starts, true);
-  Vector w_ext_s, w_ext_st;
-  halo_s.exchange(w, w_ext_s);
-  halo_st.exchange(w, w_ext_st);
-
-  CFMarker cf(n, kUndecided);
-  parallel_for(0, n, [&](Int i) {
-    if (w[i] < 1.0) cf[i] = kFine;
-  });
-  std::vector<signed char> cf_ext_s, cf_ext_st;
-  CFMarker next(cf);
-
-  while (true) {
-    halo_s.exchange(cf, cf_ext_s);
-    halo_st.exchange(cf, cf_ext_st);
-    std::int64_t promoted = 0;
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : promoted)
-    for (Int i = 0; i < n; ++i) {
-      if (cf[i] != kUndecided) continue;
-      bool best = true;
-      for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1] && best; ++k) {
-        const Int j = S.diag.colidx[k];
-        if (j != i && cf[j] == kUndecided && w[j] >= w[i]) best = false;
-      }
-      for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1] && best; ++k) {
-        const Int j = S.offd.colidx[k];
-        if (cf_ext_s[j] == kUndecided && w_ext_s[j] >= w[i]) best = false;
-      }
-      for (Int k = ST.diag.rowptr[i]; k < ST.diag.rowptr[i + 1] && best; ++k) {
-        const Int j = ST.diag.colidx[k];
-        if (j != i && cf[j] == kUndecided && w[j] >= w[i]) best = false;
-      }
-      for (Int k = ST.offd.rowptr[i]; k < ST.offd.rowptr[i + 1] && best; ++k) {
-        const Int j = ST.offd.colidx[k];
-        if (cf_ext_st[j] == kUndecided && w_ext_st[j] >= w[i]) best = false;
-      }
-      if (best) {
-        next[i] = kCoarse;
-        ++promoted;
-      }
-    }
-    parallel_for(0, n, [&](Int i) { cf[i] = next[i]; });
-
-    halo_s.exchange(cf, cf_ext_s);
-    std::int64_t demoted = 0;
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : demoted)
-    for (Int i = 0; i < n; ++i) {
-      if (cf[i] != kUndecided) continue;
-      bool fine = false;
-      for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1] && !fine; ++k)
-        if (cf[S.diag.colidx[k]] == kCoarse) fine = true;
-      for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1] && !fine; ++k)
-        if (cf_ext_s[S.offd.colidx[k]] == kCoarse) fine = true;
-      if (fine) {
-        next[i] = kFine;
-        ++demoted;
-      }
-    }
-    parallel_for(0, n, [&](Int i) { cf[i] = next[i]; });
-
-    const Long changed = comm.allreduce_sum(Long(promoted + demoted));
-    if (changed == 0) break;
-  }
-  parallel_for(0, n, [&](Int i) {
-    if (cf[i] == kUndecided)
-      cf[i] = (ST.diag.row_nnz(i) + ST.offd.row_nnz(i)) > 0 ? kCoarse : kFine;
-  });
-  if (wc) wc->bytes_read += 4 * (S.nnz_local() + ST.nnz_local()) * sizeof(Int);
-  return cf;
+  PmisHalo h;
+  h.S_offd = &S.offd;
+  h.ST_offd = &ST.offd;
+  h.first_row = S.first_row();
+  h.share_measures = [&](const std::vector<double>& w) {
+    halo_s.exchange(w, h.w_s);
+    halo_st.exchange(w, h.w_st);
+  };
+  h.refresh = [&](const CFMarker& cf, bool both) {
+    halo_s.exchange(cf, h.cf_s);
+    if (both) halo_st.exchange(cf, h.cf_st);
+  };
+  h.reduce = [&](Long changed) { return comm.allreduce_sum(changed); };
+  return pmis_rounds(S.diag, ST.diag, opt, &h, wc);
 }
 
 CFMarker dist_pmis_aggressive(simmpi::Comm& comm, const DistMatrix& S,
@@ -207,172 +58,77 @@ CFMarker dist_pmis_aggressive(simmpi::Comm& comm, const DistMatrix& S,
              std::int64_t(S.local_rows()));
   CFMarker cf1 = dist_pmis(comm, S, ST, opt, wc);
   if (first_pass_out) *first_pass_out = cf1;
+  // Global C1 ids number the first-pass C points in global order: serial
+  // pmis_aggressive's compact C1 index at every partition.
+  const CoarseNumbering cn1 = coarse_numbering(comm, cf1);
+  if (cn1.global_coarse == 0) return cf1;
   const Int n = S.local_rows();
-  const Long r0 = S.first_row();
+  const Int m = Int(S.colmap.size());
 
-  // Remote info: cf markers of halo points and their strength rows
-  // restricted to the pattern (for distance-two paths through remote F
-  // points ending at remote C points).
-  HaloExchange halo(comm, S.colmap, S.row_starts, true);
-  std::vector<signed char> cf_ext;
-  halo.exchange(cf1, cf_ext);
-  GatheredRows sext = gather_rows(comm, S, S.colmap);
+  // Strong-C1 rows valued by C1 id: the rank's own, and those of the remote
+  // F points its C1 points strongly depend on.
+  const LocalCoarseIds ids = local_coarse_ids(comm, S, cf1, cn1, true);
+  const DistMatrix SC = strong_coarse_rows(S, ids);
+  std::vector<Int> ext_row(m, -1);
+  std::vector<Long> need_f;
+  for (Int i = 0; i < n; ++i) {
+    if (cf1[i] <= 0) continue;
+    for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k)
+      if (!ids.is_c[n + S.offd.colidx[k]]) ext_row[S.offd.colidx[k]] = 0;
+  }
+  for (Int j = 0; j < m; ++j) {
+    if (ext_row[j] < 0) continue;
+    ext_row[j] = Int(need_f.size());
+    need_f.push_back(S.colmap[j]);
+  }
+  const GatheredRows sc_rows = gather_rows(comm, SC, need_f);
 
-  // Distance-two neighbor lists (global ids) for owned C1 points:
-  // c -> c' via S(c, c') or S(c, f), S(f, c').
-  auto gcol_is_coarse = [&](Long g) -> bool {
-    if (g >= r0 && g < S.last_row()) return cf1[Int(g - r0)] > 0;
-    const auto it = std::lower_bound(S.colmap.begin(), S.colmap.end(), g);
-    if (it != S.colmap.end() && *it == g)
-      return cf_ext[Int(it - S.colmap.begin())] > 0;
-    return false;  // beyond halo: cannot verify; path dropped (rare)
-  };
-  std::vector<std::vector<Long>> n2(n);
+  // Distance-two strength graph among C1 points, in global C1 ids: c -> c'
+  // if S(c, c') or S(c, f) and S(f, c') for some F point f.
+  const Long c0 = cn1.starts[comm.rank()];
+  std::vector<std::vector<Long>> s2_rows(cn1.starts[comm.rank() + 1] - c0);
   parallel_for_dynamic(0, n, [&](Int i) {
     if (cf1[i] <= 0) return;
+    const Long self = ids.cgid[i];
     HashSet<Long> seen(16);
-    auto visit_f_row_local = [&](Int f) {
-      for (Int k = S.diag.rowptr[f]; k < S.diag.rowptr[f + 1]; ++k) {
-        const Int j2 = S.diag.colidx[k];
-        if (j2 != i && cf1[j2] > 0) seen.insert(r0 + j2);
-      }
-      for (Int k = S.offd.rowptr[f]; k < S.offd.rowptr[f + 1]; ++k) {
-        const Int j2 = S.offd.colidx[k];
-        if (cf_ext[j2] > 0) seen.insert(S.colmap[j2]);
-      }
+    // Strong-C rows carry C1 ids as values.
+    const auto visit = [&](const std::vector<double>& cid, Int lo, Int hi) {
+      for (Int k = lo; k < hi; ++k)
+        if (Long(cid[k]) != self) seen.insert(Long(cid[k]));
     };
-    auto visit_f_row_remote = [&](Int ext_idx) {
-      for (Int k = sext.rowptr[ext_idx]; k < sext.rowptr[ext_idx + 1]; ++k) {
-        const Long g2 = sext.gcol[k];
-        if (g2 != r0 + i && gcol_is_coarse(g2)) seen.insert(g2);
-      }
+    const auto visit_local = [&](Int r) {
+      visit(SC.diag.values, SC.diag.rowptr[r], SC.diag.rowptr[r + 1]);
+      visit(SC.offd.values, SC.offd.rowptr[r], SC.offd.rowptr[r + 1]);
     };
-    for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1]; ++k) {
-      const Int j = S.diag.colidx[k];
-      if (j == i) continue;
-      if (cf1[j] > 0)
-        seen.insert(r0 + j);
-      else
-        visit_f_row_local(j);
-    }
+    visit_local(i);
+    for (Int k = S.diag.rowptr[i]; k < S.diag.rowptr[i + 1]; ++k)
+      if (!ids.is_c[S.diag.colidx[k]]) visit_local(S.diag.colidx[k]);
     for (Int k = S.offd.rowptr[i]; k < S.offd.rowptr[i + 1]; ++k) {
       const Int j = S.offd.colidx[k];
-      if (cf_ext[j] > 0)
-        seen.insert(S.colmap[j]);
-      else
-        visit_f_row_remote(j);
+      if (ids.is_c[n + j]) continue;
+      const Int e = ext_row[j];
+      visit(sc_rows.values, sc_rows.rowptr[e], sc_rows.rowptr[e + 1]);
     }
-    seen.collect(n2[i]);
+    seen.collect(s2_rows[self - c0]);
   });
-
-  // Reverse edges: (i -> g) implies g must also see i. Triplet exchange.
-  const int nranks = comm.size();
-  std::vector<std::vector<Long>> outbox(nranks);
-  auto owner_of = [&](Long g) {
-    auto it = std::upper_bound(S.row_starts.begin(), S.row_starts.end(), g);
-    return int(it - S.row_starts.begin()) - 1;
-  };
-  for (Int i = 0; i < n; ++i)
-    for (Long g : n2[i]) {
-      const int o = owner_of(g);
-      if (o == comm.rank()) {
-        n2[Int(g - r0)].push_back(r0 + i);  // symmetrize locally
-      } else {
-        outbox[o].push_back(g);
-        outbox[o].push_back(r0 + i);
-      }
-    }
-  for (int r = 0; r < nranks; ++r)
-    if (r != comm.rank()) comm.send_vec(r, kTagS2, outbox[r]);
-  for (int r = 0; r < nranks; ++r) {
-    if (r == comm.rank()) continue;
-    std::vector<Long> in = comm.recv_vec<Long>(r, kTagS2);
-    for (std::size_t k = 0; k + 1 < in.size(); k += 2)
-      n2[Int(in[k] - r0)].push_back(in[k + 1]);
+  GlobalRows rows;
+  for (const std::vector<Long>& row : s2_rows) {
+    for (Long g : row) rows.add(g, 1.0);
+    rows.end_row();
   }
-  for (Int i = 0; i < n; ++i) {
-    std::sort(n2[i].begin(), n2[i].end());
-    n2[i].erase(std::unique(n2[i].begin(), n2[i].end()), n2[i].end());
-  }
+  const DistMatrix S2 =
+      dist_matrix_from_rows(comm, cn1.starts, cn1.starts, rows);
+  HPAMG_CHECK_INVARIANT(check::Depth::kCheap, S2.check_partition(comm.size()));
+  const DistMatrix S2T = dist_transpose(comm, S2, true, wc);
+  PmisOptions opt2 = opt;
+  opt2.seed = opt.seed ^ 0x9e3779b97f4a7c15ull;
+  const CFMarker cf2 = dist_pmis(comm, S2, S2T, opt2, wc);
 
-  // PMIS iteration on the symmetrized distance-two graph. Markers and
-  // measures for remote C1 points are tracked in a hash map refreshed by a
-  // gather each round (the candidate set is the union of n2 neighbors).
-  std::vector<Long> remote_ids;
-  for (Int i = 0; i < n; ++i)
-    for (Long g : n2[i])
-      if (owner_of(g) != comm.rank()) remote_ids.push_back(g);
-  remote_ids = parallel_sort_unique(std::move(remote_ids));
-  HaloExchange halo2(comm, remote_ids, S.row_starts, true);
-
-  CounterRng rng(opt.seed ^ 0x9e3779b97f4a7c15ull);
-  std::vector<double> w(n, 0.0);
-  for (Int i = 0; i < n; ++i)
-    if (cf1[i] > 0)
-      w[i] = double(n2[i].size()) + rng.uniform(std::uint64_t(r0 + i));
-  Vector w_ext;
-  halo2.exchange(w, w_ext);
-  auto remote_idx = [&](Long g) {
-    return Int(std::lower_bound(remote_ids.begin(), remote_ids.end(), g) -
-               remote_ids.begin());
-  };
-
-  CFMarker cf2(n, kUndecided);
-  for (Int i = 0; i < n; ++i)
-    if (cf1[i] <= 0) cf2[i] = kFine;  // not a C1 point: out of the game
-  CFMarker next(cf2);
-  std::vector<signed char> cf2_ext;
-  while (true) {
-    halo2.exchange(cf2, cf2_ext);
-    std::int64_t changed = 0;
-    for (Int i = 0; i < n; ++i) {
-      if (cf2[i] != kUndecided) continue;
-      bool best = true;
-      for (Long g : n2[i]) {
-        signed char st;
-        double wg;
-        if (g >= r0 && g < S.last_row()) {
-          st = cf2[Int(g - r0)];
-          wg = w[Int(g - r0)];
-        } else {
-          const Int j = remote_idx(g);
-          st = cf2_ext[j];
-          wg = w_ext[j];
-        }
-        if (st == kUndecided && wg >= w[i]) {
-          best = false;
-          break;
-        }
-      }
-      if (best) {
-        next[i] = kCoarse;
-        ++changed;
-      }
-    }
-    for (Int i = 0; i < n; ++i) cf2[i] = next[i];
-    halo2.exchange(cf2, cf2_ext);
-    for (Int i = 0; i < n; ++i) {
-      if (cf2[i] != kUndecided) continue;
-      for (Long g : n2[i]) {
-        const signed char st = (g >= r0 && g < S.last_row())
-                                   ? cf2[Int(g - r0)]
-                                   : cf2_ext[remote_idx(g)];
-        if (st == kCoarse) {
-          next[i] = kFine;
-          ++changed;
-          break;
-        }
-      }
-    }
-    for (Int i = 0; i < n; ++i) cf2[i] = next[i];
-    if (comm.allreduce_sum(Long(changed)) == 0) break;
-  }
-  for (Int i = 0; i < n; ++i)
-    if (cf2[i] == kUndecided) cf2[i] = kCoarse;
-
+  // Final marker: C only if coarse in both passes.
   CFMarker out(n, kFine);
-  for (Int i = 0; i < n; ++i)
-    if (cf1[i] > 0 && cf2[i] > 0) out[i] = kCoarse;
+  parallel_for(0, n, [&](Int i) {
+    if (cf1[i] > 0 && cf2[ids.cgid[i] - c0] > 0) out[i] = kCoarse;
+  });
   return out;
 }
 
@@ -391,6 +147,56 @@ CoarseNumbering coarse_numbering(simmpi::Comm& comm, const CFMarker& cf) {
   for (std::size_t i = 0; i < cf.size(); ++i)
     if (cf[i] > 0) cn.local_to_global[i] = next++;
   return cn;
+}
+
+LocalCoarseIds local_coarse_ids(simmpi::Comm& comm, const DistMatrix& A,
+                                const CFMarker& cf, const CoarseNumbering& cn,
+                                bool persistent) {
+  HaloExchange halo(comm, A.colmap, A.row_starts, persistent);
+  std::vector<signed char> cf_ext;
+  halo.exchange(cf, cf_ext);
+  std::vector<Long> cid_ext;
+  halo.exchange(cn.local_to_global, cid_ext);
+  const Int n = A.local_rows();
+  const Int m = Int(A.colmap.size());
+  LocalCoarseIds ids;
+  ids.is_c.resize(n + m);
+  ids.cgid.resize(n + m);
+  for (Int i = 0; i < n; ++i) {
+    ids.is_c[i] = cf[i] > 0;
+    ids.cgid[i] = cn.local_to_global[i];
+  }
+  for (Int j = 0; j < m; ++j) {
+    ids.is_c[n + j] = cf_ext[j] > 0;
+    ids.cgid[n + j] = cid_ext[j];
+  }
+  return ids;
+}
+
+DistMatrix strong_coarse_rows(const DistMatrix& S, const LocalCoarseIds& ids) {
+  const auto restrict_to_c = [&](const CSRMatrix& B, Int offset) {
+    CSRMatrix R(B.nrows, B.ncols);
+    for (Int i = 0; i < B.nrows; ++i) {
+      for (Int k = B.rowptr[i]; k < B.rowptr[i + 1]; ++k) {
+        const Int l = offset + B.colidx[k];
+        if (!ids.is_c[l]) continue;
+        R.colidx.push_back(B.colidx[k]);
+        R.values.push_back(double(ids.cgid[l]));
+      }
+      R.rowptr[i + 1] = Int(R.colidx.size());
+    }
+    return R;
+  };
+  DistMatrix SC;
+  SC.global_rows = S.global_rows;
+  SC.global_cols = S.global_cols;
+  SC.row_starts = S.row_starts;
+  SC.col_starts = S.col_starts;
+  SC.my_rank = S.my_rank;
+  SC.colmap = S.colmap;
+  SC.diag = restrict_to_c(S.diag, 0);
+  SC.offd = restrict_to_c(S.offd, S.local_cols());
+  return SC;
 }
 
 }  // namespace hpamg

@@ -1,11 +1,15 @@
-// Distributed strength-of-connection and PMIS coarsening.
+// Distributed strength-of-connection and PMIS coarsening: the serial
+// kernels run on each rank's diag/offd blocks, and only the exchange
+// points are distributed.
 //
-// Strength is row-local, so the distributed strength matrix needs no
-// communication and shares A's colmap. PMIS iterates with halo exchanges of
-// the measures (once) and the C/F markers (each round), exactly the
-// communication structure of BoomerAMG's PMIS. The aggressive variant adds
-// a gather of remote strength rows to build the distance-two graph among
-// first-pass C points, plus a triplet exchange for its reverse edges.
+// Strength is row-local: strength_blocks visits each row of diag and then
+// of offd, and the result shares A's colmap. PMIS is pmis_rounds with two
+// halo exchanges (markers and measures over S's and ST's colmaps) and an
+// allreduce of the changed count, BoomerAMG's communication structure. The
+// aggressive variant is serial pmis_aggressive's construction over global
+// first-pass C ids: distance-two rows from the gathered strong-C rows of
+// remote F neighbors, then a second dist_pmis on that graph, so its result
+// equals the serial one at every partition.
 #pragma once
 
 #include "amg/pmis.hpp"
@@ -16,7 +20,8 @@
 namespace hpamg {
 
 /// Distributed strength matrix; same row partition and colmap as A
-/// (entries are a subset of A's pattern).
+/// (entries are a subset of A's pattern). `parallel_assembly` selects the
+/// prefix-sum assembly, as for strength_matrix vs strength_matrix_serial.
 DistMatrix dist_strength(const DistMatrix& A, const StrengthOptions& opt,
                          bool parallel_assembly = true,
                          WorkCounters* wc = nullptr);
@@ -44,5 +49,21 @@ struct CoarseNumbering {
 };
 
 CoarseNumbering coarse_numbering(simmpi::Comm& comm, const CFMarker& cf);
+
+/// C markers and global coarse ids over a rank's local index space: owned
+/// points at [0, n), A.colmap slot j at n + j (one halo exchange each).
+struct LocalCoarseIds {
+  std::vector<signed char> is_c;
+  std::vector<Long> cgid;  ///< -1 for F points
+};
+
+LocalCoarseIds local_coarse_ids(simmpi::Comm& comm, const DistMatrix& A,
+                                const CFMarker& cf, const CoarseNumbering& cn,
+                                bool persistent);
+
+/// S restricted to its C columns, each valued by the C point's global
+/// coarse id: the strong-C rows that seed Ĉ (and distance-two coarsening
+/// paths). Keeps S's column space; `ids` is over S's local index space.
+DistMatrix strong_coarse_rows(const DistMatrix& S, const LocalCoarseIds& ids);
 
 }  // namespace hpamg

@@ -88,36 +88,6 @@ void end_row_truncated(GlobalRows& rows, std::size_t start,
   rows.end_row();
 }
 
-/// S restricted to its C columns, each valued by the C point's global
-/// coarse id: the strong-C rows that seed Ĉ. Keeps S's column space.
-DistMatrix strong_coarse_rows(const DistMatrix& S,
-                              const std::vector<signed char>& is_c,
-                              const std::vector<Long>& cgid) {
-  const auto restrict_to_c = [&](const CSRMatrix& B, Int offset) {
-    CSRMatrix R(B.nrows, B.ncols);
-    for (Int i = 0; i < B.nrows; ++i) {
-      for (Int k = B.rowptr[i]; k < B.rowptr[i + 1]; ++k) {
-        const Int l = offset + B.colidx[k];
-        if (!is_c[l]) continue;
-        R.colidx.push_back(B.colidx[k]);
-        R.values.push_back(double(cgid[l]));
-      }
-      R.rowptr[i + 1] = Int(R.colidx.size());
-    }
-    return R;
-  };
-  DistMatrix SC;
-  SC.global_rows = S.global_rows;
-  SC.global_cols = S.global_cols;
-  SC.row_starts = S.row_starts;
-  SC.col_starts = S.col_starts;
-  SC.my_rank = S.my_rank;
-  SC.colmap = S.colmap;
-  SC.diag = restrict_to_c(S.diag, 0);
-  SC.offd = restrict_to_c(S.offd, S.local_cols());
-  return SC;
-}
-
 }  // namespace
 
 DistMatrix truncate_dist_interp(simmpi::Comm& comm, const DistMatrix& P,
@@ -146,27 +116,13 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
   const Int m = Int(A.colmap.size());
   const Long r0 = A.first_row();
 
-  // Halo data on A's colmap: CF markers and coarse ids of boundary points.
-  HaloExchange halo(comm, A.colmap, A.row_starts, opt.persistent);
-  std::vector<signed char> cf_ext;
-  halo.exchange(cf, cf_ext);
-  std::vector<Long> cid_ext;
-  halo.exchange(cn.local_to_global, cid_ext);
-
   // P is built in one local index space: owned points [0, n), A.colmap
   // [n, n + m), then the distance-two C points that only the gathered SC
   // rows name (appended below). is_c / cgid give each point's C marker and
   // global coarse id.
-  std::vector<signed char> is_c(n + m);
-  std::vector<Long> cgid(n + m);
-  for (Int i = 0; i < n; ++i) {
-    is_c[i] = cf[i] > 0;
-    cgid[i] = cn.local_to_global[i];
-  }
-  for (Int j = 0; j < m; ++j) {
-    is_c[n + j] = cf_ext[j] > 0;
-    cgid[n + j] = cid_ext[j];
-  }
+  LocalCoarseIds ids = local_coarse_ids(comm, A, cf, cn, opt.persistent);
+  std::vector<signed char>& is_c = ids.is_c;
+  std::vector<Long>& cgid = ids.cgid;
 
   // Local diagonal values (needed by the sender-side filter and by b_ik).
   std::vector<double> adiag(n, 0.0);
@@ -193,7 +149,7 @@ DistMatrix dist_extpi_interp(simmpi::Comm& comm, const DistMatrix& A,
 
   // Coarse-adjacency rows ("SC"): serve Ĉ construction, locally and for
   // remote strong F neighbors.
-  const DistMatrix SC = strong_coarse_rows(S, is_c, cgid);
+  const DistMatrix SC = strong_coarse_rows(S, ids);
   GatheredRows sc_rows = gather_rows(comm, SC, needF, nullptr, opt.persistent);
 
   // The §4.3 sender-side filter for A rows: keep the diagonal, keep

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "matrix/transpose.hpp"
+#include "support/check.hpp"
 #include "support/parallel.hpp"
 #include "support/sort.hpp"
 #include "support/trace.hpp"
@@ -12,7 +13,8 @@ namespace hpamg {
 namespace {
 constexpr int kTagT = 7201;
 
-struct GTriplet {
+/// One shipped entry of offd^T: global row of A^T, global column, value.
+struct ShippedEntry {
   Long row;
   Long col;
   double value;
@@ -25,106 +27,64 @@ DistMatrix dist_transpose(simmpi::Comm& comm, const DistMatrix& A,
              std::int64_t(A.local_rows()));
   const int nranks = comm.size();
   const int me = comm.rank();
+  const auto transpose = [&](const CSRMatrix& B) {
+    return parallel ? transpose_parallel(B, wc) : transpose_serial(B, wc);
+  };
 
-  // Outgoing triplets of A^T grouped by owner of the transposed row
-  // (= owner of A's column).
-  std::vector<std::vector<GTriplet>> outbox(nranks);
-  const Long r0 = A.first_row();
-  const Long c0 = A.first_col();
-  for (Int i = 0; i < A.local_rows(); ++i) {
-    for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k)
-      outbox[me].push_back(
-          {c0 + A.diag.colidx[k], r0 + i, A.diag.values[k]});
-    for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k) {
-      const Long gc = A.colmap[A.offd.colidx[k]];
-      outbox[A.col_owner(gc)].push_back({gc, r0 + i, A.offd.values[k]});
-    }
-  }
-  for (int r = 0; r < nranks; ++r)
-    if (r != me) comm.send_vec(r, kTagT, outbox[r]);
-  std::vector<GTriplet> mine = std::move(outbox[me]);
-  for (int r = 0; r < nranks; ++r) {
-    if (r == me) continue;
-    std::vector<GTriplet> in = comm.recv_vec<GTriplet>(r, kTagT);
-    mine.insert(mine.end(), in.begin(), in.end());
-    if (wc) wc->bytes_read += in.size() * sizeof(GTriplet);
-  }
-
-  // Assemble the local piece of A^T: rows are A's columns we own.
   DistMatrix T;
   T.global_rows = A.global_cols;
   T.global_cols = A.global_rows;
   T.row_starts = A.col_starts;
   T.col_starts = A.row_starts;
   T.my_rank = me;
-  const Long tr0 = T.first_row();
+  T.diag = transpose(A.diag);
+
+  // offd^T has one row per colmap slot; ship each to the owner of that
+  // column (colmap is sorted, so each peer's rows stay in order). One
+  // message per peer, empty or not.
+  const CSRMatrix OT = transpose(A.offd);
+  const Long r0 = A.first_row();
+  std::vector<std::vector<ShippedEntry>> outbox(nranks);
+  for (Int j = 0; j < OT.nrows; ++j) {
+    std::vector<ShippedEntry>& box = outbox[A.col_owner(A.colmap[j])];
+    for (Int k = OT.rowptr[j]; k < OT.rowptr[j + 1]; ++k)
+      box.push_back({A.colmap[j], r0 + OT.colidx[k], OT.values[k]});
+  }
+  for (int r = 0; r < nranks; ++r)
+    if (r != me) comm.send_vec(r, kTagT, outbox[r]);
+
+  // Concatenate what arrives, in rank order, into T.offd: each peer's
+  // columns lie in its own row range, so every row comes out sorted.
   const Int nloc = T.local_rows();
-  const Long tc0 = T.first_col(), tc1 = T.last_col();
-
-  // Sort triplets by (row, col): parallel counting sort on rows for the
-  // optimized path, std::sort for the baseline.
-  if (parallel && !mine.empty()) {
-    std::vector<Int> keys(mine.size());
-    for (std::size_t k = 0; k < mine.size(); ++k)
-      keys[k] = Int(mine[k].row - tr0);
-    std::vector<Int> order, bucket_ptr;
-    parallel_counting_sort(Int(mine.size()), nloc, keys.data(), order,
-                           bucket_ptr);
-    std::vector<GTriplet> sorted(mine.size());
-    parallel_for(0, Int(mine.size()),
-                 [&](Int p) { sorted[p] = mine[order[p]]; });
-    mine = std::move(sorted);
-    parallel_for(0, nloc, [&](Int i) {
-      std::sort(mine.begin() + bucket_ptr[i], mine.begin() + bucket_ptr[i + 1],
-                [](const GTriplet& a, const GTriplet& b) {
-                  return a.col < b.col;
-                });
-    });
-  } else {
-    std::sort(mine.begin(), mine.end(),
-              [](const GTriplet& a, const GTriplet& b) {
-                return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
-  }
-
-  // Split into diag/offd with colmap.
+  const Long tr0 = T.first_row();
+  std::vector<std::vector<ShippedEntry>> inbox(nranks);
   std::vector<Long> offd_cols;
-  T.diag = CSRMatrix(nloc, T.local_cols());
   T.offd = CSRMatrix(nloc, 0);
-  for (const GTriplet& t : mine) {
-    const Int i = Int(t.row - tr0);
-    if (t.col >= tc0 && t.col < tc1)
-      ++T.diag.rowptr[i + 1];
-    else {
-      ++T.offd.rowptr[i + 1];
-      offd_cols.push_back(t.col);
+  for (int r = 0; r < nranks; ++r) {
+    if (r == me) continue;
+    inbox[r] = comm.recv_vec<ShippedEntry>(r, kTagT);
+    for (const ShippedEntry& e : inbox[r]) {
+      ++T.offd.rowptr[Int(e.row - tr0) + 1];
+      offd_cols.push_back(e.col);
     }
+    if (wc) wc->bytes_read += inbox[r].size() * sizeof(ShippedEntry);
   }
-  exclusive_scan(T.diag.rowptr);
   exclusive_scan(T.offd.rowptr);
   T.colmap = parallel_sort_unique(std::move(offd_cols));
   T.offd.ncols = Int(T.colmap.size());
-  T.diag.colidx.resize(T.diag.rowptr[nloc]);
-  T.diag.values.resize(T.diag.rowptr[nloc]);
   T.offd.colidx.resize(T.offd.rowptr[nloc]);
   T.offd.values.resize(T.offd.rowptr[nloc]);
-  std::vector<Int> fd(T.diag.rowptr.begin(), T.diag.rowptr.end() - 1);
-  std::vector<Int> fo(T.offd.rowptr.begin(), T.offd.rowptr.end() - 1);
-  for (const GTriplet& t : mine) {
-    const Int i = Int(t.row - tr0);
-    if (t.col >= tc0 && t.col < tc1) {
-      T.diag.colidx[fd[i]] = Int(t.col - tc0);
-      T.diag.values[fd[i]] = t.value;
-      ++fd[i];
-    } else {
-      const auto it = std::lower_bound(T.colmap.begin(), T.colmap.end(), t.col);
-      T.offd.colidx[fo[i]] = Int(it - T.colmap.begin());
-      T.offd.values[fo[i]] = t.value;
-      ++fo[i];
+  std::vector<Int> fill(T.offd.rowptr.begin(), T.offd.rowptr.end() - 1);
+  for (const std::vector<ShippedEntry>& in : inbox)
+    for (const ShippedEntry& e : in) {
+      const Int p = fill[Int(e.row - tr0)]++;
+      T.offd.colidx[p] = Int(
+          std::lower_bound(T.colmap.begin(), T.colmap.end(), e.col) -
+          T.colmap.begin());
+      T.offd.values[p] = e.value;
     }
-  }
-  if (wc)
-    wc->bytes_written += mine.size() * (sizeof(Int) + sizeof(double));
+  if (wc) wc->bytes_written += T.offd.nnz() * (sizeof(Int) + sizeof(double));
+  HPAMG_CHECK_INVARIANT(check::Depth::kCheap, T.check_partition(nranks));
   return T;
 }
 

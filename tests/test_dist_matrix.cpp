@@ -2,6 +2,11 @@
 // halo exchange, remote-row gather, transpose, and column renumbering.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "amg/interp_extpi.hpp"
+#include "amg/pmis.hpp"
+#include "amg/strength.hpp"
 #include "dist/dist_matrix.hpp"
 #include "dist/dist_transpose.hpp"
 #include "dist/halo.hpp"
@@ -134,19 +139,84 @@ TEST(Halo, GatherRowsSenderFilterApplies) {
   });
 }
 
+/// Distributes a sequential matrix over `row_starts` (even by default);
+/// columns split evenly, or as the rows if it is square.
+DistMatrix distribute_rows(simmpi::Comm& c, const CSRMatrix& A,
+                           const std::vector<Long>* row_starts = nullptr) {
+  return build_dist_matrix(
+      c, A.nrows, A.ncols,
+      [&A](Long grow, std::vector<std::pair<Long, double>>& out) {
+        const Int i = Int(grow);
+        for (Int k = A.rowptr[i]; k < A.rowptr[i + 1]; ++k)
+          out.push_back({Long(A.colidx[k]), A.values[k]});
+      },
+      row_starts);
+}
+
+void expect_same_block(const CSRMatrix& got, const CSRMatrix& want,
+                       const char* block) {
+  EXPECT_EQ(got.nrows, want.nrows) << block;
+  EXPECT_EQ(got.ncols, want.ncols) << block;
+  EXPECT_EQ(got.rowptr, want.rowptr) << block;
+  EXPECT_EQ(got.colidx, want.colidx) << block;
+  // Bitwise: the transpose moves values, it never computes them.
+  ASSERT_EQ(got.values.size(), want.values.size()) << block;
+  if (!got.values.empty()) {
+    EXPECT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                          got.values.size() * sizeof(double)),
+              0)
+        << block;
+  }
+  for (Int i = 0; i < got.nrows; ++i)
+    for (Int k = got.rowptr[i] + 1; k < got.rowptr[i + 1]; ++k)
+      EXPECT_LT(got.colidx[k - 1], got.colidx[k]) << block << " row " << i;
+}
+
+/// dist_transpose of dA equals ref = A^T distributed over dA's column
+/// partition: every block array and the colmap, exactly.
+void expect_exact_transpose(simmpi::Comm& c, const DistMatrix& dA,
+                            const CSRMatrix& ref) {
+  const DistMatrix want = distribute_rows(c, ref, &dA.col_starts);
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    DistMatrix dT = dist_transpose(c, dA, parallel);
+    dT.validate();
+    EXPECT_EQ(dT.row_starts, want.row_starts);
+    EXPECT_EQ(dT.col_starts, want.col_starts);
+    expect_same_block(dT.diag, want.diag, "diag");
+    expect_same_block(dT.offd, want.offd, "offd");
+    EXPECT_EQ(dT.colmap, want.colmap);
+  }
+}
+
 class DistTransposeRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistTransposeRanks, MatchesSequentialTranspose) {
+  const int P = GetParam();
   CSRMatrix A = test::random_spd(120, 4, 3);
   A.sort_rows();
-  CSRMatrix ref = transpose_serial(A);
-  simmpi::run(GetParam(), [&](simmpi::Comm& c) {
-    DistMatrix dA = distribute_csr(c, A);
-    for (bool parallel : {false, true}) {
-      DistMatrix dT = dist_transpose(c, dA, parallel);
-      dT.validate();
-      CSRMatrix T = gather_csr(c, dT);
-      EXPECT_TRUE(csr_approx_equal(ref, T));
+  const CSRMatrix ref = transpose_serial(A);
+  // A rectangular interpolation operator (fine rows x coarse columns).
+  const CSRMatrix L = lap2d_5pt(12, 12);
+  const CSRMatrix S = strength_matrix(L, {0.25, 0.8});
+  const CFMarker cf = pmis_coarsen(S, transpose_parallel(S));
+  const CSRMatrix Pi = extpi_interp(L, S, cf, ExtPIOptions{});
+  const CSRMatrix Pi_ref = transpose_serial(Pi);
+  // A row partition with an empty rank (rank 0 at two ranks).
+  std::vector<Long> gappy = even_partition(A.nrows, P);
+  if (P > 1) gappy[P / 2] = gappy[P / 2 - 1];
+  simmpi::run(P, [&](simmpi::Comm& c) {
+    {
+      SCOPED_TRACE("square");
+      expect_exact_transpose(c, distribute_csr(c, A), ref);
+    }
+    {
+      SCOPED_TRACE("rectangular P");
+      expect_exact_transpose(c, distribute_rows(c, Pi), Pi_ref);
+    }
+    {
+      SCOPED_TRACE("empty rank");
+      expect_exact_transpose(c, distribute_rows(c, A, &gappy), ref);
     }
   });
 }

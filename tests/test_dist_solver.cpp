@@ -109,6 +109,39 @@ TEST_P(DistRanks, StrengthAndPmisMatchSequential) {
   });
 }
 
+TEST_P(DistRanks, AggressivePmisMatchesSequential) {
+  // Global first-pass C ids are serial pmis_aggressive's compact C1 index,
+  // so the distance-two graph, its measures and both markers match the
+  // serial ones at every partition.
+  for (const CSRMatrix& A :
+       {lap3d_7pt(20, 20, 20), lap3d_7pt(14, 14, 14, 1.0, 8.0)}) {
+    StrengthOptions so;
+    so.threshold = 0.25;
+    so.max_row_sum = 0.8;
+    CSRMatrix S = strength_matrix(A, so);
+    CSRMatrix ST = transpose_parallel(S);
+    PmisOptions po;
+    CFMarker first_ref;
+    const CFMarker ref = pmis_aggressive(S, ST, po, &first_ref);
+    simmpi::run(GetParam(), [&](simmpi::Comm& c) {
+      DistMatrix dA = distribute_csr(c, A);
+      DistMatrix dS = dist_strength(dA, so);
+      DistMatrix dST = dist_transpose(c, dS);
+      CFMarker first;
+      const CFMarker cf = dist_pmis_aggressive(c, dS, dST, po, &first);
+      ASSERT_EQ(Int(cf.size()), dA.local_rows());
+      ASSERT_EQ(Int(first.size()), dA.local_rows());
+      Long differ = 0, differ_first = 0;
+      for (Int i = 0; i < dA.local_rows(); ++i) {
+        differ += cf[i] != ref[dA.first_row() + i];
+        differ_first += first[i] != first_ref[dA.first_row() + i];
+      }
+      EXPECT_EQ(c.allreduce_sum(differ), 0) << "n=" << A.nrows;
+      EXPECT_EQ(c.allreduce_sum(differ_first), 0) << "n=" << A.nrows;
+    });
+  }
+}
+
 TEST_P(DistRanks, ExtPIInterpMatchesSequential) {
   // The 27-point operator's strong F neighbors reach across rank
   // boundaries at distance two, so Ĉ takes C points no colmap names.
