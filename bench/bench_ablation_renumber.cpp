@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
           DistMatrix dP = dist_extpi_interp(c, dA, dS, dST, cf, cn);
           DistSpgemmOptions o;
           o.parallel_renumber = parallel;
-          o.onepass_local = true;
           dist_rap(c, dA, dP, o, &wcs[c.rank()], &infos[c.rank()]);
         });
         if (repeat.warmup() && p == 0) continue;

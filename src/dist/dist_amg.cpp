@@ -367,9 +367,8 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
   };
 
   DistSpgemmOptions so;
+  so.variant = opts.variant;
   so.parallel_renumber = optimized;
-  so.onepass_local = optimized;
-  so.persistent = optimized;
 
   // Samples the cumulative setup work into the trace's "work" counter track
   // (one sample per phase; each sample carries both series).
@@ -452,6 +451,17 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
     DistMatrix A_next =
         dist_rap(comm, L.A, L.P, so, wc, nullptr,
                  optimized ? &L.R : nullptr);
+    // The serial level_step's Galerkin checks.
+    HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
+                          A_next.check_partition(comm.size()));
+    HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
+                          check::csr_well_formed(A_next.diag, "Galerkin diag"));
+    HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
+                          check::csr_well_formed(A_next.offd, "Galerkin offd"));
+    HPAMG_CHECK_INVARIANT(check::Depth::kFull,
+                          check::csr_finite(A_next.diag, "Galerkin diag"));
+    HPAMG_CHECK_INVARIANT(check::Depth::kFull,
+                          check::csr_finite(A_next.offd, "Galerkin offd"));
     L.has_R = optimized;
     rap.finish();
     h.phase_comm["RAP"] += comm.stats().delta_since(snap);

@@ -3,6 +3,7 @@
 #include "dist/dist_transpose.hpp"
 #include "dist/halo.hpp"
 #include "dist/renumber.hpp"
+#include "spgemm/rap.hpp"
 #include "spgemm/spgemm.hpp"
 #include "support/parallel.hpp"
 #include "support/timer.hpp"
@@ -12,94 +13,109 @@ namespace hpamg {
 
 namespace {
 
-/// Combined-operand representation: B's own rows first, gathered external
-/// rows after, all over one local column space
-///   [0, nBloc) own columns | [nBloc, nBloc+m) B.colmap | new entries after.
-struct CombinedB {
-  CSRMatrix M;                  ///< nBrows_local + ext rows
-  std::vector<Long> ext_colmap; ///< B.colmap ++ new entries (global ids)
-  Int nloc_cols = 0;
-};
-
-CombinedB assemble_combined_b(const DistMatrix& B, const GatheredRows& ext,
-                              const DistSpgemmOptions& opt, WorkCounters* wc,
-                              double* renumber_seconds) {
-  CombinedB out;
-  const Int nb = B.local_rows();
-  const Int next_rows = Int(ext.rows.size());
-  out.nloc_cols = B.local_cols();
-
-  // Renumber the gathered global columns (§4.2) — the measured hot spot.
-  Timer t;
-  RenumberInput rin;
-  rin.gcol = &ext.gcol;
-  rin.own_first = B.first_col();
-  rin.own_last = B.last_col();
-  rin.existing = &B.colmap;
-  rin.nloc = out.nloc_cols;
-  RenumberResult ren = opt.parallel_renumber
-                           ? renumber_columns_parallel(rin, wc)
-                           : renumber_columns_baseline(rin, wc);
-  if (renumber_seconds) *renumber_seconds += t.seconds();
-
-  out.ext_colmap = B.colmap;
-  out.ext_colmap.insert(out.ext_colmap.end(), ren.new_entries.begin(),
-                        ren.new_entries.end());
-
-  // Stack [B_local; B_ext] into one CSR over the combined column space.
-  CSRMatrix& M = out.M;
-  M = CSRMatrix(nb + next_rows,
-                out.nloc_cols + Int(out.ext_colmap.size()));
-  for (Int i = 0; i < nb; ++i)
-    M.rowptr[i + 1] = B.diag.row_nnz(i) + B.offd.row_nnz(i);
-  for (Int i = 0; i < next_rows; ++i)
-    M.rowptr[nb + i + 1] = ext.rowptr[i + 1] - ext.rowptr[i];
-  exclusive_scan(M.rowptr);
-  M.colidx.resize(M.rowptr[M.nrows]);
-  M.values.resize(M.rowptr[M.nrows]);
-  parallel_for(0, nb, [&](Int i) {
-    Int pos = M.rowptr[i];
-    for (Int k = B.diag.rowptr[i]; k < B.diag.rowptr[i + 1]; ++k, ++pos) {
-      M.colidx[pos] = B.diag.colidx[k];
-      M.values[pos] = B.diag.values[k];
-    }
-    for (Int k = B.offd.rowptr[i]; k < B.offd.rowptr[i + 1]; ++k, ++pos) {
-      M.colidx[pos] = out.nloc_cols + B.offd.colidx[k];
-      M.values[pos] = B.offd.values[k];
-    }
-  });
-  parallel_for(0, next_rows, [&](Int i) {
-    Int pos = M.rowptr[nb + i];
-    for (Int k = ext.rowptr[i]; k < ext.rowptr[i + 1]; ++k, ++pos) {
-      M.colidx[pos] = ren.local[k];
-      M.values[pos] = ext.values[k];
-    }
-  });
-  return out;
-}
-
-/// A as one local CSR whose columns index the combined-B rows: diag columns
-/// point at B's own rows, offd column j at combined row nb + j (gathered
-/// rows are requested in A.colmap order).
-CSRMatrix assemble_combined_a(const DistMatrix& A, Int nb) {
-  CSRMatrix M(A.local_rows(), nb + Int(A.colmap.size()));
-  for (Int i = 0; i < A.local_rows(); ++i)
+/// The rank's diag|offd blocks as one CSR over [own columns | colmap]:
+/// offd column j becomes local_cols() + j. Reserves `extra_nnz` more
+/// entries for rows the caller appends.
+CSRMatrix join_blocks(const DistMatrix& A, std::size_t extra_nnz = 0) {
+  const Int n = A.local_rows(), nl = A.local_cols();
+  CSRMatrix M(n, nl + Int(A.colmap.size()));
+  for (Int i = 0; i < n; ++i)
     M.rowptr[i + 1] = A.diag.row_nnz(i) + A.offd.row_nnz(i);
   exclusive_scan(M.rowptr);
-  M.colidx.resize(M.rowptr[M.nrows]);
-  M.values.resize(M.rowptr[M.nrows]);
-  parallel_for(0, A.local_rows(), [&](Int i) {
+  M.colidx.reserve(M.rowptr[n] + extra_nnz);
+  M.values.reserve(M.rowptr[n] + extra_nnz);
+  M.colidx.resize(M.rowptr[n]);
+  M.values.resize(M.rowptr[n]);
+  parallel_for(0, n, [&](Int i) {
     Int pos = M.rowptr[i];
     for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k, ++pos) {
       M.colidx[pos] = A.diag.colidx[k];
       M.values[pos] = A.diag.values[k];
     }
     for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k, ++pos) {
-      M.colidx[pos] = nb + A.offd.colidx[k];
+      M.colidx[pos] = nl + A.offd.colidx[k];
       M.values[pos] = A.offd.values[k];
     }
   });
   return M;
+}
+
+/// B's own rows stacked over one row per `ext` slot: B's row with that
+/// global id, gathered from its owner (§4.1 Fig 3c), or an empty row for
+/// a negative id. Gathered columns are renumbered (§4.2) into B's local
+/// column space [own | B.colmap | new]; local column local_cols() + j is
+/// global ext_colmap[j].
+struct Stacked {
+  CSRMatrix M;
+  std::vector<Long> ext_colmap;
+};
+
+Stacked gather_stack(simmpi::Comm& comm, const DistMatrix& B,
+                     const std::vector<Long>& ext,
+                     const DistSpgemmOptions& opt, WorkCounters* wc,
+                     DistSpgemmInfo* info) {
+  std::vector<Long> need;
+  std::vector<Int> slot;
+  for (std::size_t j = 0; j < ext.size(); ++j)
+    if (ext[j] >= 0) {
+      need.push_back(ext[j]);
+      slot.push_back(Int(j));
+    }
+  const bool optimized = opt.variant == Variant::kOptimized;
+  GatheredRows g = gather_rows(comm, B, need, nullptr, optimized);
+
+  Timer t;
+  const RenumberInput rin{&g.gcol, B.first_col(), B.last_col(), &B.colmap,
+                          B.local_cols()};
+  RenumberResult ren = opt.parallel_renumber
+                           ? renumber_columns_parallel(rin, wc)
+                           : renumber_columns_baseline(rin, wc);
+  if (info) {
+    info->gathered_rows += need.size();
+    info->gathered_bytes += g.bytes_received;
+    info->renumber_seconds += t.seconds();
+  }
+
+  Stacked s;
+  s.ext_colmap = B.colmap;
+  s.ext_colmap.insert(s.ext_colmap.end(), ren.new_entries.begin(),
+                      ren.new_entries.end());
+  CSRMatrix& M = s.M = join_blocks(B, g.gcol.size());
+  const Int nb = M.nrows;
+  M.nrows += Int(ext.size());
+  M.ncols = B.local_cols() + Int(s.ext_colmap.size());
+  M.rowptr.resize(M.nrows + 1, 0);
+  for (std::size_t r = 0; r < slot.size(); ++r)
+    M.rowptr[nb + slot[r] + 1] = g.rowptr[r + 1] - g.rowptr[r];
+  for (Int i = nb; i < M.nrows; ++i) M.rowptr[i + 1] += M.rowptr[i];
+  M.colidx.resize(M.rowptr[M.nrows]);
+  M.values.resize(M.rowptr[M.nrows]);
+  parallel_for(0, Int(slot.size()), [&](Int r) {
+    const Int dst = M.rowptr[nb + slot[r]];
+    for (Int k = g.rowptr[r]; k < g.rowptr[r + 1]; ++k) {
+      M.colidx[dst + k - g.rowptr[r]] = ren.local[k];
+      M.values[dst + k - g.rowptr[r]] = g.values[k];
+    }
+  });
+  return s;
+}
+
+/// A local product whose columns span B's [own | ext_colmap] space, as a
+/// DistMatrix over `row_starts` and B's column partition.
+DistMatrix to_global(simmpi::Comm& comm, CSRMatrix C,
+                     const std::vector<Long>& row_starts, const DistMatrix& B,
+                     const std::vector<Long>& ext_colmap) {
+  const Int nl = B.local_cols();
+  const Long c0 = B.first_col();
+  GlobalRows rows;
+  rows.rowptr = std::move(C.rowptr);
+  rows.vals = std::move(C.values);
+  rows.cols.resize(C.colidx.size());
+  parallel_for(0, Int(rows.cols.size()), [&](Int k) {
+    const Int c = C.colidx[k];
+    rows.cols[k] = c < nl ? c0 + c : ext_colmap[c - nl];
+  });
+  return dist_matrix_from_rows(comm, row_starts, B.col_starts, rows);
 }
 
 }  // namespace
@@ -109,38 +125,16 @@ DistMatrix dist_spgemm(simmpi::Comm& comm, const DistMatrix& A,
                        WorkCounters* wc, DistSpgemmInfo* info) {
   TRACE_SPAN("spgemm.dist", "kernel", "rows", std::int64_t(A.local_rows()));
   require(A.global_cols == B.global_rows, "dist_spgemm: shape mismatch");
-  // The row gather: A's off-diagonal columns name exactly the B rows we
-  // need but do not own (they are global row ids because A's column
-  // partition matches B's row partition).
-  GatheredRows ext = gather_rows(comm, B, A.colmap, nullptr, opt.persistent);
-  if (info) {
-    info->gathered_rows += ext.rows.size();
-    info->gathered_bytes += ext.bytes_received;
-  }
-
-  double renum_sec = 0.0;
-  CombinedB cb = assemble_combined_b(B, ext, opt, wc, &renum_sec);
-  if (info) info->renumber_seconds += renum_sec;
-
-  CSRMatrix Aloc = assemble_combined_a(A, B.local_rows());
-
-  Timer t_local;
-  CSRMatrix Cloc = opt.onepass_local ? spgemm_onepass(Aloc, cb.M, {}, wc)
-                                     : spgemm_twopass(Aloc, cb.M, wc);
-  if (info) info->local_seconds += t_local.seconds();
-
-  // Back to global columns: combined column c < nbcols is B's own column.
-  const Int nbcols = cb.nloc_cols;
-  const Long b0 = B.first_col();
-  GlobalRows rows;
-  rows.rowptr = std::move(Cloc.rowptr);
-  rows.vals = std::move(Cloc.values);
-  rows.cols.resize(Cloc.colidx.size());
-  parallel_for(0, Int(rows.cols.size()), [&](Int k) {
-    const Int c = Cloc.colidx[k];
-    rows.cols[k] = c < nbcols ? b0 + c : cb.ext_colmap[c - nbcols];
-  });
-  return dist_matrix_from_rows(comm, A.row_starts, B.col_starts, rows);
+  // A's off-diagonal columns name exactly the B rows we need but do not
+  // own (A's column partition matches B's row partition).
+  Stacked b = gather_stack(comm, B, A.colmap, opt, wc, info);
+  const CSRMatrix Aloc = join_blocks(A);
+  Timer t;
+  CSRMatrix C = opt.variant == Variant::kOptimized
+                    ? spgemm_onepass(Aloc, b.M, {}, wc)
+                    : spgemm_twopass(Aloc, b.M, wc);
+  if (info) info->local_seconds += t.seconds();
+  return to_global(comm, std::move(C), A.row_starts, B, b.ext_colmap);
 }
 
 DistMatrix dist_rap(simmpi::Comm& comm, const DistMatrix& A,
@@ -149,10 +143,29 @@ DistMatrix dist_rap(simmpi::Comm& comm, const DistMatrix& A,
                     DistMatrix* R_out) {
   TRACE_SPAN("spgemm.rap", "kernel", "rows", std::int64_t(A.local_rows()));
   DistMatrix R = dist_transpose(comm, P, opt.parallel_renumber, wc);
-  DistMatrix RA = dist_spgemm(comm, R, A, opt, wc, info);
-  DistMatrix C = dist_spgemm(comm, RA, P, opt, wc, info);
+  const CSRMatrix Rloc = join_blocks(R);
+  Stacked a = gather_stack(comm, A, R.colmap, opt, wc, info);
+  // P rows only for the external columns R's rows reach through A (the
+  // colmap R·A would have); the other slots stay empty.
+  const Int na = A.local_cols();
+  std::vector<char> used(a.M.nrows, 0);
+  for (Int j : Rloc.colidx) used[j] = 1;
+  std::vector<Long> reach(a.ext_colmap.size(), -1);
+  for (Int j = 0; j < a.M.nrows; ++j)
+    if (used[j])
+      for (Int k = a.M.rowptr[j]; k < a.M.rowptr[j + 1]; ++k)
+        if (const Int c = a.M.colidx[k]; c >= na)
+          reach[c - na] = a.ext_colmap[c - na];
+  Stacked p = gather_stack(comm, P, reach, opt, wc, info);
+  Timer t;
+  CSRMatrix C = opt.variant == Variant::kOptimized
+                    ? rap_fused_rowwise(Rloc, a.M, p.M, {}, wc)
+                    : rap_fused_hypre(Rloc, a.M, p.M, wc);
+  if (info) info->local_seconds += t.seconds();
+  DistMatrix out = to_global(comm, std::move(C), R.row_starts, P,
+                             p.ext_colmap);
   if (R_out) *R_out = std::move(R);
-  return C;
+  return out;
 }
 
 }  // namespace hpamg

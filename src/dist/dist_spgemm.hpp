@@ -1,11 +1,12 @@
-// Distributed sparse matrix-matrix multiplication C = A * B
-// (SC'15 §4.1 Fig 3c): gather the B rows referenced by A's off-diagonal
-// columns, renumber the received global column indices into the local
-// compressed space (§4.2 — the step the paper parallelizes), run the local
-// SpGEMM kernel on the combined operands, and split the result back into
-// diag/offd + colmap form.
+// Distributed sparse products (SC'15 §4.1 Fig 3c) over each rank's local
+// index space. A rank stacks its own rows of the right operand over the
+// rows it gathers from their owners, renumbers the gathered global
+// columns into its compressed local space (§4.2, the step the paper
+// parallelizes), runs a serial §3.1.1 kernel on the stacked operands, and
+// maps the local result back to global columns once.
 #pragma once
 
+#include "amg/hierarchy.hpp"
 #include "dist/dist_matrix.hpp"
 #include "dist/simmpi.hpp"
 #include "support/counters.hpp"
@@ -13,9 +14,11 @@
 namespace hpamg {
 
 struct DistSpgemmOptions {
+  /// Optimized: one-pass SpGEMM, row-wise fused RAP (Fig 1a) and
+  /// persistent row-gather sends (§4.4). Baseline: two-pass SpGEMM,
+  /// HYPRE's fused RAP (Fig 1b), per-exchange request setup.
+  Variant variant = Variant::kOptimized;
   bool parallel_renumber = true;  ///< §4.2 scheme vs sequential ordered map
-  bool onepass_local = true;      ///< §3.1.1 one-pass local SpGEMM kernel
-  bool persistent = false;        ///< count row-gather sends as persistent
 };
 
 struct DistSpgemmInfo {
@@ -25,16 +28,19 @@ struct DistSpgemmInfo {
   double local_seconds = 0.0;
 };
 
+/// C = A * B: B's rows for A.colmap are gathered and stacked under B's own
+/// rows, and A's diag|offd blocks multiply the stack.
 DistMatrix dist_spgemm(simmpi::Comm& comm, const DistMatrix& A,
                        const DistMatrix& B, const DistSpgemmOptions& opt = {},
                        WorkCounters* wc = nullptr,
                        DistSpgemmInfo* info = nullptr);
 
-/// Distributed Galerkin product P^T A P via dist_transpose + two
-/// dist_spgemm calls. The renumbering and gather costs dominate at scale
-/// exactly as the paper's Fig 7/8 show.
-/// If `R_out` is non-null it receives R = P^T (the optimized hierarchy
-/// keeps it for the solve phase instead of re-deriving the transpose).
+/// Galerkin product R A P with R = dist_transpose(P), as one serial fused
+/// RAP kernel call on the rank's local index space (no distributed R·A):
+/// R's diag|offd blocks times A's rows stacked over A's rows for R.colmap,
+/// times P's rows stacked over P's rows for the external columns that R's
+/// rows reach through A. If `R_out` is non-null it receives R (the
+/// optimized hierarchy keeps it for the solve phase).
 DistMatrix dist_rap(simmpi::Comm& comm, const DistMatrix& A,
                     const DistMatrix& P, const DistSpgemmOptions& opt = {},
                     WorkCounters* wc = nullptr, DistSpgemmInfo* info = nullptr,

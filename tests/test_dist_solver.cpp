@@ -16,6 +16,7 @@
 #include "krylov/krylov.hpp"
 #include "matrix/transpose.hpp"
 #include "perfmodel/attrib.hpp"
+#include "spgemm/rap.hpp"
 #include "spgemm/spgemm.hpp"
 #include "support/metrics.hpp"
 #include "test_util.hpp"
@@ -42,8 +43,8 @@ TEST_P(DistRanks, SpgemmMatchesSequential) {
     DistMatrix dA = distribute_csr(c, A);
     for (bool par : {true, false}) {
       DistSpgemmOptions o;
+      o.variant = par ? Variant::kOptimized : Variant::kBaseline;
       o.parallel_renumber = par;
-      o.onepass_local = par;
       DistSpgemmInfo info;
       DistMatrix dC = dist_spgemm(c, dA, dA, o, nullptr, &info);
       dC.validate();
@@ -55,6 +56,55 @@ TEST_P(DistRanks, SpgemmMatchesSequential) {
   });
 }
 
+/// M's rows over `row_starts` (an even partition when null); the column
+/// partition is even unless M is square.
+DistMatrix distribute_rows(simmpi::Comm& c, const CSRMatrix& M,
+                           const std::vector<Long>* row_starts = nullptr) {
+  return build_dist_matrix(
+      c, M.nrows, M.ncols,
+      [&](Long grow, std::vector<std::pair<Long, double>>& out) {
+        const Int i = Int(grow);
+        for (Int k = M.rowptr[i]; k < M.rowptr[i + 1]; ++k)
+          out.push_back({Long(M.colidx[k]), M.values[k]});
+      },
+      row_starts);
+}
+
+/// dist_rap of each variant against its serial fused kernel (same pattern,
+/// values to 1e-12), the kept R bitwise P^T, and one gathered row per
+/// R.colmap entry plus one per external column of R·A.
+void expect_rap_matches_serial(simmpi::Comm& c, const CSRMatrix& A,
+                               const CSRMatrix& P,
+                               const std::vector<Long>* row_starts) {
+  const CSRMatrix R = transpose_parallel(P);
+  DistMatrix dA = distribute_rows(c, A, row_starts);
+  DistMatrix dP = distribute_rows(c, P, row_starts);
+  for (Variant v : {Variant::kOptimized, Variant::kBaseline}) {
+    CSRMatrix ref = v == Variant::kOptimized ? rap_fused_rowwise(R, A, P)
+                                             : rap_fused_hypre(R, A, P);
+    ref.sort_rows();
+    DistSpgemmOptions o;
+    o.variant = v;
+    DistSpgemmInfo info;
+    DistMatrix dR;
+    DistMatrix dC = dist_rap(c, dA, dP, o, nullptr, &info, &dR);
+    dC.validate();
+    const CSRMatrix C = gather_csr(c, dC);
+    EXPECT_EQ(C.rowptr, ref.rowptr);
+    EXPECT_EQ(C.colidx, ref.colidx);
+    ASSERT_EQ(C.values.size(), ref.values.size());
+    for (std::size_t k = 0; k < ref.values.size(); ++k)
+      EXPECT_NEAR(C.values[k], ref.values[k],
+                  1e-12 * std::max(1.0, std::abs(ref.values[k])));
+    const CSRMatrix Rg = gather_csr(c, dR);
+    EXPECT_EQ(Rg.rowptr, R.rowptr);
+    EXPECT_EQ(Rg.colidx, R.colidx);
+    EXPECT_EQ(Rg.values, R.values);
+    const DistMatrix dRA = dist_spgemm(c, dR, dA, o);
+    EXPECT_EQ(info.gathered_rows, dR.colmap.size() + dRA.colmap.size());
+  }
+}
+
 TEST_P(DistRanks, RapMatchesSequential) {
   CSRMatrix A = lap2d_5pt(12, 12);
   CSRMatrix S = strength_matrix(A, {0.25, 0.8});
@@ -62,29 +112,25 @@ TEST_P(DistRanks, RapMatchesSequential) {
   PmisOptions po;
   CFMarker cf = pmis_coarsen(S, ST, po);
   ExtPIOptions eo;
-  CSRMatrix P = extpi_interp(A, S, cf, eo);
-  CSRMatrix R = transpose_parallel(P);
-  CSRMatrix RA = spgemm_onepass(R, A);
-  CSRMatrix ref = spgemm_onepass(RA, P);
-  ref.sort_rows();
+  const CSRMatrix P = extpi_interp(A, S, cf, eo);
+  // Fine row i interpolates from coarse columns nc-1-i/3 and the one
+  // below it: the last rank's rows reach only another rank's C points.
+  const Int nc = A.nrows / 3;
+  std::vector<Triplet> rev;
+  for (Int i = 0; i < A.nrows; ++i) {
+    rev.push_back({i, nc - 1 - i / 3, 1.0});
+    if (nc - 1 - i / 3 > 0) rev.push_back({i, nc - 2 - i / 3, 0.5});
+  }
+  const CSRMatrix Prev = CSRMatrix::from_triplets(A.nrows, nc, rev);
   simmpi::run(GetParam(), [&](simmpi::Comm& c) {
-    DistMatrix dA = distribute_csr(c, A);
-    // Distribute P with its own (rectangular) partitions.
-    DistMatrix dP = build_dist_matrix(
-        c, P.nrows, P.ncols,
-        [&](Long grow, std::vector<std::pair<Long, double>>& out) {
-          const Int i = Int(grow);
-          for (Int k = P.rowptr[i]; k < P.rowptr[i + 1]; ++k)
-            out.push_back({Long(P.colidx[k]), P.values[k]});
-        });
-    DistMatrix dR;
-    DistMatrix dC = dist_rap(c, dA, dP, {}, nullptr, nullptr, &dR);
-    CSRMatrix C = gather_csr(c, dC);
-    C.sort_rows();
-    EXPECT_TRUE(csr_same_operator(ref, C, 1e-9));
-    // The kept R really is P^T.
-    CSRMatrix Rg = gather_csr(c, dR);
-    EXPECT_TRUE(csr_same_operator(R, Rg, 1e-12));
+    expect_rap_matches_serial(c, A, P, nullptr);
+    expect_rap_matches_serial(c, A, Prev, nullptr);
+    if (c.size() == 1) return;
+    // Rank 1 owns no rows.
+    std::vector<Long> starts = even_partition(A.nrows, c.size());
+    starts[1] = starts[2];
+    expect_rap_matches_serial(c, A, P, &starts);
+    expect_rap_matches_serial(c, A, Prev, &starts);
   });
 }
 
@@ -450,6 +496,40 @@ TEST(DistSolve, Ei4HierarchyIsPinned) {
     DistSolveResult r = dist_fgmres(c, dA, h, b, x, 1e-7, 100);
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.iterations, 7);
+  });
+}
+
+TEST(DistSolve, TwoStageEiHierarchyIsPinned) {
+  // Table 4 2s-ei on 4 ranks, pinned: level 0 runs the stage-1 Galerkin
+  // product A1 = P1^T A P1 and the composite P1 P2 besides the level RAP.
+  struct Level {
+    Long rows, a_nnz, p_nnz;
+  };
+  const Level want[] = {{4096, 97336, 14575}, {65, 1857, 198}, {19, 297, 0}};
+  CSRMatrix A = lap3d_27pt(16, 16, 16);
+  simmpi::run(4, [&](simmpi::Comm& c) {
+    DistMatrix dA = distribute_csr(c, A);
+    DistAMGOptions o;
+    o.strength.threshold = 0.25;
+    o.strength.max_row_sum = 0.8;
+    o.truncation.trunc_fact = 0.1;
+    o.truncation.max_elmts = 4;
+    o.interp = InterpKind::kExtPI2Stage;
+    o.num_aggressive_levels = 1;
+    DistHierarchy h = dist_amg_setup(c, dA, o);
+    ASSERT_EQ(h.levels.size(), std::size(want));
+    for (std::size_t l = 0; l < h.levels.size(); ++l) {
+      const DistLevel& L = h.levels[l];
+      EXPECT_EQ(L.A.global_rows, want[l].rows) << "level " << l;
+      EXPECT_EQ(c.allreduce_sum(L.A.nnz_local()), want[l].a_nnz)
+          << "level " << l;
+      EXPECT_EQ(c.allreduce_sum(L.P.nnz_local()), want[l].p_nnz)
+          << "level " << l;
+    }
+    Vector b(dA.local_rows(), 1.0), x(dA.local_rows(), 0.0);
+    DistSolveResult r = dist_fgmres(c, dA, h, b, x, 1e-7, 100);
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, 11);
   });
 }
 
