@@ -24,6 +24,7 @@
 #include "matrix/permute.hpp"
 #include "matrix/transpose.hpp"
 #include "matrix/vector_ops.hpp"
+#include "reader/validate.hpp"
 #include "support/log.hpp"
 #include "support/report.hpp"
 #include "support/trace.hpp"

@@ -9,7 +9,7 @@
 // which must fall monotonically from m=1 toward the asymptote.
 //
 // m=1 runs through the same batched kernels with block width 1 and is the
-// perf-gate anchor: it must stay within benchdiff tolerance of the scalar
+// perf-gate anchor: it must stay within `hpamg diff` tolerance of the scalar
 // kernels' committed baseline.
 //
 // Usage: bench_multirhs [--n 12] [--m-list 1,2,4,8,16] [--rtol 1e-6]

@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Fixed metric set (benchdiff treats a missing metric as a verdict, so
+  // Fixed metric set (`hpamg diff` treats a missing metric as a verdict, so
   // every key is always emitted; counts are info-class, latencies sit
   // under the timing noise floor unless they genuinely regress past it).
   BenchReport::Run& run = sink.report.add_run("replay");

@@ -5,7 +5,7 @@
 // the paper's numbers regardless of the host. This bench measures what the
 // HOST actually delivers and emits the result in the calibration-JSON
 // format `attrib::load_calibration_json` reads, so tools that diagnose
-// local runs (`perf_report --machine <file>`) can judge kernels against
+// local runs (`hpamg perf --machine <file>`) can judge kernels against
 // this machine's ceilings instead of Endeavor's:
 //
 //   - STREAM triad (a[i] = b[i] + s*c[i], 24 bytes/element) over all OpenMP
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   w.end_object();
 
   // Round-trip through the loader so a malformed emission fails HERE, in
-  // the bench, not later in perf_report.
+  // the bench, not later in `hpamg perf`.
   MachineModel mm = endeavor_rank();
   NetworkModel nm;
   std::string err;

@@ -17,6 +17,7 @@
 #include "perfmodel/machine.hpp"
 #include "perfmodel/network.hpp"
 #include "perfmodel/project.hpp"
+#include "reader/validate.hpp"
 #include "support/cli.hpp"
 #include "support/live.hpp"
 #include "support/log.hpp"
@@ -217,11 +218,11 @@ inline void add_time_metrics(BenchReport::Run& run, const std::string& key,
 /// params and runs to `report` unconditionally (cheap), and main() ends
 /// with `return sink.finish();` which writes BENCH_<name>.json when the
 /// flag was given. The emitted document follows the schema in
-/// support/report.hpp and is validated by bench/check_report.cpp.
+/// support/report.hpp and is validated by `hpamg check`.
 ///
 /// When enabled, the metrics registry is switched on for the whole run and
 /// its snapshot (plus peak RSS and the RunEnv facts) is embedded as the
-/// report's "metrics" block — the input of bench/benchdiff.
+/// report's "metrics" block — the input of `hpamg diff`.
 struct JsonSink {
   JsonSink(const Cli& cli, const RunEnv& env)
       : path(cli.get("json", "")), report(env.bench), env_(&env) {

@@ -1,69 +1,39 @@
-// Performance diagnosis CLI: merges a BENCH_*.json report with its trace
-// into one view of where a solve's time went and why.
+// hpamg perf [--check] [--json <out>] [--machine <calib.json>]
+//            <BENCH_*.json> [<trace.json>]
 //
+// Merges a BENCH_*.json report with its trace into one view of where a
+// solve's time went and why:
 //   - roofline table: per (kernel, level) measured time, achieved bandwidth
 //     and the achieved-vs-modeled fractions recorded by perfmodel/attrib
 //     (recomputed against `--machine <calibration.json>` when given, e.g.
 //     the file bench_stream emits for this host);
 //   - wait-state breakdown: the trace's per-rank blocked time classified
-//     Scalasca-style (late-sender / late-receiver / wait-at-collective /
-//     transfer / unattributed) by support/trace_analyze, plus per-kernel
-//     load imbalance and the cross-rank critical path;
+//     Scalasca-style by reader/trace_analyze, plus per-kernel load
+//     imbalance and the cross-rank critical path;
 //   - convergence trajectory: the report's per-iteration telemetry
 //     (residual, contraction factor, per-level time split).
 //
-// `--check` validates the merged picture and exits nonzero on violation:
-// the report passes the full schema validator, roofline fractions lie in
-// (0, 1], per-iteration convergence factors reproduce the residual
-// history, and each rank's classified + unattributed wait time sums to its
-// blocked total (the trace_summary cross-tool invariant). `--json <out>`
-// writes the diagnosis as JSON.
-//
-// Usage: perf_report [--check] [--json <out>] [--machine <calib.json>]
-//                    <BENCH_*.json> [<trace.json>]
+// --check exits 1 on a violation: the report fails the schema validator, a
+// roofline fraction lies outside (0, 1], a per-iteration convergence
+// factor does not reproduce the residual history, the trace has duplicate
+// flow ids or unexplained half-arrows, or a rank's classified +
+// unattributed wait time does not sum to its blocked self time (the
+// classifier's partition invariant). --json <out> writes the diagnosis as
+// JSON.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "perfmodel/attrib.hpp"
-#include "support/report.hpp"
-#include "support/trace_analyze.hpp"
+#include "reader/tool.hpp"
+#include "reader/trace_analyze.hpp"
+#include "reader/validate.hpp"
+
+namespace hpamg::tool {
 
 namespace {
-
-using hpamg::JsonValue;
-
-int failures = 0;
-
-void check(bool ok, const char* fmt, const std::string& detail) {
-  if (ok) return;
-  std::fprintf(stderr, fmt, detail.c_str());
-  std::fputc('\n', stderr);
-  ++failures;
-}
-
-bool read_file(const char* path, std::string& out) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, got);
-  std::fclose(f);
-  return true;
-}
-
-double num_of(const JsonValue& obj, const char* key, double dflt = 0.0) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->number : dflt;
-}
-
-std::string fmt_ms(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", us * 1e-3);
-  return buf;
-}
 
 /// One roofline row lifted back out of the report JSON.
 struct RoofRow {
@@ -81,42 +51,36 @@ struct RoofRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool check_mode = false;
-  const char* json_out = nullptr;
-  const char* machine_path = nullptr;
-  std::vector<const char*> inputs;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check_mode = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--machine") == 0 && i + 1 < argc) {
-      machine_path = argv[++i];
-    } else {
-      inputs.push_back(argv[i]);
-    }
-  }
+int perf(int argc, char** argv) {
+  const Args args = parse_args(argc, argv, {"check"});
+  const std::vector<std::string>& inputs = args.cli.positional();
   if (inputs.empty() || inputs.size() > 2) {
     std::fprintf(stderr,
-                 "usage: perf_report [--check] [--json <out>] "
+                 "usage: hpamg perf [--check] [--json <out>] "
                  "[--machine <calib.json>] <BENCH_*.json> [<trace.json>]\n");
     return 2;
   }
+  const std::string json_out = args.cli.get("json", "");
+  const std::string machine_path = args.cli.get("machine", "");
+  int failures = 0;
+  auto expect = [&failures](bool ok, const std::string& message) {
+    if (ok) return;
+    std::fprintf(stderr, "%s\n", message.c_str());
+    ++failures;
+  };
 
   // ---- optional calibration override of the paper-constant machine model.
-  hpamg::MachineModel machine = hpamg::attrib::machine();
+  MachineModel machine = attrib::machine();
   bool recalibrated = false;
-  if (machine_path != nullptr) {
+  if (!machine_path.empty()) {
     std::string text;
-    if (!read_file(machine_path, text)) {
-      std::fprintf(stderr, "%s: cannot open\n", machine_path);
+    if (!read_file(machine_path, &text)) {
+      std::fprintf(stderr, "%s: cannot open\n", machine_path.c_str());
       return 2;
     }
     std::string err;
-    if (!hpamg::attrib::load_calibration_json(text, &machine, nullptr,
-                                              &err)) {
-      std::fprintf(stderr, "%s: %s\n", machine_path, err.c_str());
+    if (!attrib::load_calibration_json(text, &machine, nullptr, &err)) {
+      std::fprintf(stderr, "%s: %s\n", machine_path.c_str(), err.c_str());
       return 2;
     }
     recalibrated = true;
@@ -124,17 +88,18 @@ int main(int argc, char** argv) {
 
   // ---- bench report.
   std::string bench_text;
-  if (!read_file(inputs[0], bench_text)) {
-    std::fprintf(stderr, "%s: cannot open\n", inputs[0]);
+  if (!read_file(inputs[0], &bench_text)) {
+    std::fprintf(stderr, "%s: cannot open\n", inputs[0].c_str());
     return 2;
   }
-  const std::string verr = hpamg::validate_bench_report_json(bench_text);
-  check(verr.empty(), "%s", std::string(inputs[0]) + ": " + verr);
+  const std::string verr = validate_bench_report_json(bench_text);
+  expect(verr.empty(), inputs[0] + ": " + verr);
   JsonValue doc;
   try {
-    doc = hpamg::json_parse(bench_text);
+    doc = json_parse(bench_text);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: parse error: %s\n", inputs[0], e.what());
+    std::fprintf(stderr, "%s: parse error: %s\n", inputs[0].c_str(),
+                 e.what());
     return 1;
   }
   const JsonValue* bench_name = doc.find("bench");
@@ -161,20 +126,20 @@ int main(int argc, char** argv) {
         for (const JsonValue& e : roof->items) {
           RoofRow r;
           if (const JsonValue* k = e.find("kernel")) r.kernel = k->text;
-          r.level = long(num_of(e, "level", -1));
-          r.calls = long(num_of(e, "calls"));
-          r.seconds = num_of(e, "seconds");
-          r.flops = num_of(e, "flops");
-          r.bytes = num_of(e, "bytes");
-          r.achieved_bw = num_of(e, "achieved_bw_bytes_per_s");
-          r.modeled_seconds = num_of(e, "modeled_seconds");
-          r.bw_fraction = num_of(e, "bw_fraction");
-          r.efficiency = num_of(e, "efficiency");
+          r.level = long(num(e, "level", -1));
+          r.calls = long(num(e, "calls"));
+          r.seconds = num(e, "seconds");
+          r.flops = num(e, "flops");
+          r.bytes = num(e, "bytes");
+          r.achieved_bw = num(e, "achieved_bw_bytes_per_s");
+          r.modeled_seconds = num(e, "modeled_seconds");
+          r.bw_fraction = num(e, "bw_fraction");
+          r.efficiency = num(e, "efficiency");
           if (recalibrated && r.seconds > 0.0 && r.bytes > 0.0) {
             // Re-derive the fractions against the calibrated ceilings
             // (branch counters are not in the report; the bandwidth
             // roofline dominates for these kernels anyway).
-            hpamg::WorkCounters wc;
+            WorkCounters wc;
             wc.flops = std::uint64_t(r.flops);
             wc.bytes_read = std::uint64_t(r.bytes);
             r.modeled_seconds = machine.seconds(wc);
@@ -205,10 +170,10 @@ int main(int argc, char** argv) {
                   r.kernel.c_str(), r.level, r.calls, r.seconds,
                   r.achieved_bw * 1e-9, 100.0 * r.bw_fraction,
                   100.0 * r.efficiency);
-      check(r.bw_fraction > 0.0 && r.bw_fraction <= 1.0,
-            "%s: bw_fraction outside (0,1]", v.name + "/" + r.kernel);
-      check(r.efficiency > 0.0 && r.efficiency <= 1.0,
-            "%s: efficiency outside (0,1]", v.name + "/" + r.kernel);
+      expect(r.bw_fraction > 0.0 && r.bw_fraction <= 1.0,
+             v.name + "/" + r.kernel + ": bw_fraction outside (0,1]");
+      expect(r.efficiency > 0.0 && r.efficiency <= 1.0,
+             v.name + "/" + r.kernel + ": efficiency outside (0,1]");
     }
   }
 
@@ -219,31 +184,29 @@ int main(int argc, char** argv) {
     std::printf("%5s %12s %9s %10s %10s\n", "it", "relres", "conv",
                 "seconds", "smoother");
     for (const JsonValue& e : v.iterations->items) {
-      const long it = long(num_of(e, "iteration"));
-      const double relres = num_of(e, "relres");
-      const double conv = num_of(e, "conv_factor");
+      const long it = long(num(e, "iteration"));
+      const double relres = num(e, "relres");
+      const double conv = num(e, "conv_factor");
       const JsonValue* sm = e.find("smoother_contraction");
       char smbuf[32] = "-";
       if (sm != nullptr && sm->is_number())
         std::snprintf(smbuf, sizeof(smbuf), "%.4f", sm->number);
       std::printf("%5ld %12.4e %9.4f %10.6f %10s\n", it, relres, conv,
-                  num_of(e, "seconds"), smbuf);
+                  num(e, "seconds"), smbuf);
       // conv_factor must reproduce the residual history: relres matches
       // history[it-1] and conv matches history[it-1]/history[it-2].
       if (v.history != nullptr) {
         const auto& h = v.history->items;
         if (it >= 1 && std::size_t(it) <= h.size()) {
           const double hr = h[std::size_t(it - 1)].number;
-          check(std::abs(relres - hr) <= 1e-9 * std::max(1.0, hr),
-                "%s: iteration relres disagrees with residual_history",
-                v.name);
+          expect(std::abs(relres - hr) <= 1e-9 * std::max(1.0, hr),
+                 v.name + ": iteration relres disagrees with residual_history");
           if (it >= 2) {
             const double prev = h[std::size_t(it - 2)].number;
             const double want = prev > 0.0 ? hr / prev : 0.0;
-            check(std::abs(conv - want) <=
-                      1e-6 * std::max(1.0, std::abs(want)),
-                  "%s: conv_factor does not reproduce residual_history",
-                  v.name);
+            expect(
+                std::abs(conv - want) <= 1e-6 * std::max(1.0, std::abs(want)),
+                v.name + ": conv_factor does not reproduce residual_history");
           }
         }
       }
@@ -252,27 +215,26 @@ int main(int argc, char** argv) {
 
   // ---- trace wait-state classification.
   bool have_trace = false;
-  hpamg::trace_analyze::Analysis an;
+  trace_analyze::Analysis an;
   if (inputs.size() == 2) {
     std::string trace_text;
-    if (!read_file(inputs[1], trace_text)) {
-      std::fprintf(stderr, "%s: cannot open\n", inputs[1]);
+    if (!read_file(inputs[1], &trace_text)) {
+      std::fprintf(stderr, "%s: cannot open\n", inputs[1].c_str());
       return 2;
     }
-    hpamg::trace_analyze::Timeline tl;
+    trace_analyze::Timeline tl;
     try {
-      tl = hpamg::trace_analyze::parse_timeline_text(trace_text);
+      tl = trace_analyze::parse_timeline(trace_text);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", inputs[1], e.what());
+      std::fprintf(stderr, "%s: %s\n", inputs[1].c_str(), e.what());
       return 1;
     }
-    an = hpamg::trace_analyze::analyze(tl);
+    an = trace_analyze::analyze(tl);
     have_trace = true;
-    check(tl.duplicate_flow_ids == 0, "%s: duplicate flow ids in trace",
-          std::string(inputs[1]));
-    check(tl.dropped_total > 0 || an.unmatched_flows == 0,
-          "%s: unmatched flows in a trace reporting zero drops",
-          std::string(inputs[1]));
+    expect(tl.duplicate_flow_ids == 0,
+           inputs[1] + ": duplicate flow ids in trace");
+    expect(tl.dropped_total > 0 || an.unmatched_flows == 0,
+           inputs[1] + ": unmatched flows in a trace reporting zero drops");
 
     std::printf("\n== wait states (ms) ==\n");
     std::printf("%-10s %9s %9s %9s %9s %9s %9s\n", "rank", "blocked",
@@ -285,14 +247,14 @@ int main(int argc, char** argv) {
                   fmt_ms(r.wait_collective_us).c_str(),
                   fmt_ms(r.transfer_us).c_str(),
                   fmt_ms(r.unattributed_us).c_str());
-      // The cross-tool invariant: classified + unattributed == blocked
-      // (what trace_summary reports as the rank's blocked self time).
+      // The classifier's partition invariant: classified + unattributed
+      // == the rank's blocked self time.
       const double sum = r.late_sender_us + r.late_receiver_us +
                          r.wait_collective_us + r.transfer_us +
                          r.unattributed_us;
-      check(std::abs(sum - r.blocked_us) <=
-                std::max(0.5, 1e-6 * std::abs(r.blocked_us)),
-            "%s: wait-state buckets do not sum to blocked time", r.name);
+      expect(std::abs(sum - r.blocked_us) <=
+                 std::max(0.5, 1e-6 * std::abs(r.blocked_us)),
+             r.name + ": wait-state buckets do not sum to blocked time");
     }
     if (!an.kernels.empty()) {
       std::printf("\n== load imbalance (max/avg self time) ==\n");
@@ -311,8 +273,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- merged diagnosis JSON.
-  if (json_out != nullptr) {
-    hpamg::JsonWriter w;
+  if (!json_out.empty()) {
+    JsonWriter w;
     w.begin_object();
     w.kv("bench", bench_name != nullptr ? bench_name->text : "");
     w.key("machine").begin_object();
@@ -366,20 +328,21 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_object();
-    std::FILE* f = std::fopen(json_out, "wb");
+    std::FILE* f = std::fopen(json_out.c_str(), "wb");
     if (f == nullptr) {
-      std::fprintf(stderr, "%s: cannot write\n", json_out);
+      std::fprintf(stderr, "%s: cannot write\n", json_out.c_str());
       return 2;
     }
     std::fwrite(w.str().data(), 1, w.str().size(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    std::printf("\nwrote %s\n", json_out);
+    std::printf("\nwrote %s\n", json_out.c_str());
   }
 
-  if (check_mode) {
-    std::printf("\n%s: %d check failure(s)\n", inputs[0], failures);
-    return failures == 0 ? 0 : 1;
-  }
-  return 0;
+  if (!args.on("check")) return 0;
+  std::printf("\n%s: %d check failure(s)\n", inputs[0].c_str(),
+              failures);
+  return failures == 0 ? 0 : 1;
 }
+
+}  // namespace hpamg::tool

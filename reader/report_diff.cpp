@@ -1,9 +1,10 @@
-#include "support/report_diff.hpp"
+#include "reader/report_diff.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
+#include "reader/validate.hpp"
 #include "support/report.hpp"
 
 namespace hpamg {

@@ -1,6 +1,6 @@
 // Bench-report regression diffing: compares two BENCH_*.json documents
 // (support/report.hpp schema) metric-by-metric so the perf trajectory in
-// version control can be gated. The bench/benchdiff CLI wraps this; tests
+// version control can be gated. `hpamg diff` wraps this; tests
 // drive it on synthetic report pairs (tests/test_metrics.cpp).
 //
 // Metrics are classified by key:

@@ -1,4 +1,4 @@
-// hpamg_top: live progress viewer for a running solve.
+// hpamg top: live progress viewer for a running solve.
 //
 // Tails the progress.jsonl stream the live observability layer appends
 // (see src/support/live.hpp) and renders a per-rank table: iteration,
@@ -6,9 +6,9 @@
 // fraction of the last sampling interval the rank spent blocked in simmpi
 // waits. Three modes:
 //
-//   hpamg_top <dir>            render the latest sample and exit
-//   hpamg_top <dir> --follow   re-render as new samples are appended
-//   hpamg_top <dir> --check    CI validation: parse every line, enforce
+//   hpamg top <dir>            render the latest sample and exit
+//   hpamg top <dir> --follow   re-render as new samples are appended
+//   hpamg top <dir> --check    CI validation: parse every line, enforce
 //                              schema + monotonic seq/ts, and sanity-check
 //                              the Prometheus exposition file if present
 //
@@ -26,24 +26,11 @@
 #include <thread>
 #include <vector>
 
-#include "support/cli.hpp"
-#include "support/report.hpp"
+#include "reader/tool.hpp"
+
+namespace hpamg::tool {
 
 namespace {
-
-using hpamg::JsonValue;
-
-std::string progress_path(const std::string& arg) {
-  struct stat st{};
-  if (stat(arg.c_str(), &st) == 0 && S_ISDIR(st.st_mode))
-    return arg + "/progress.jsonl";
-  return arg;
-}
-
-double num(const JsonValue& obj, const char* key, double fallback = 0.0) {
-  const JsonValue* f = obj.find(key);
-  return f != nullptr && f->is_number() ? f->number : fallback;
-}
 
 // ------------------------------------------------------------------------
 // Rendering
@@ -243,7 +230,7 @@ int check_exposition(const std::string& path) {
 int check_stream(const std::string& path, const std::string& dir) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
-    std::fprintf(stderr, "hpamg_top: cannot open %s\n", path.c_str());
+    std::fprintf(stderr, "hpamg top: cannot open %s\n", path.c_str());
     return 1;
   }
   std::string line;
@@ -254,7 +241,7 @@ int check_stream(const std::string& path, const std::string& dir) {
   while (std::fgets(buf, sizeof(buf), f) != nullptr) {
     ++lines;
     try {
-      const JsonValue v = hpamg::json_parse(buf);
+      const JsonValue v = json_parse(buf);
       const std::string err = check_sample(v);
       if (!err.empty()) {
         std::printf("check: %s:%d: %s\n", path.c_str(), lines, err.c_str());
@@ -319,23 +306,24 @@ bool last_line(const std::string& path, std::string* out, long* consumed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  hpamg::Cli cli(argc, argv);
-  if (cli.positional().empty() || cli.has("help")) {
+int top(int argc, char** argv) {
+  const Args args = parse_args(argc, argv, {"check", "follow", "help"});
+  const Cli& cli = args.cli;
+  if (cli.positional().empty() || args.on("help")) {
     std::fprintf(stderr,
-                 "usage: hpamg_top <live-dir | progress.jsonl> "
+                 "usage: hpamg top <live-dir | progress.jsonl> "
                  "[--follow [--interval s]] [--check]\n");
-    return cli.has("help") ? 0 : 2;
+    return args.on("help") ? 0 : 2;
   }
   const std::string arg = cli.positional()[0];
-  const std::string path = progress_path(arg);
   struct stat st{};
   const bool is_dir = stat(arg.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
+  const std::string path = is_dir ? arg + "/progress.jsonl" : arg;
 
-  if (cli.has("check"))
+  if (args.on("check"))
     return check_stream(path, is_dir ? arg : std::string());
 
-  const bool follow = cli.has("follow");
+  const bool follow = args.on("follow");
   const double interval = cli.get_double("interval", 0.2);
   long last_size = -1;
   do {
@@ -345,14 +333,14 @@ int main(int argc, char** argv) {
       if (size != last_size) {
         last_size = size;
         try {
-          render(hpamg::json_parse(line), follow);
+          render(json_parse(line), follow);
         } catch (const std::exception& e) {
-          std::fprintf(stderr, "hpamg_top: %s\n", e.what());
+          std::fprintf(stderr, "hpamg top: %s\n", e.what());
           if (!follow) return 1;
         }
       }
     } else if (!follow) {
-      std::fprintf(stderr, "hpamg_top: no samples in %s\n", path.c_str());
+      std::fprintf(stderr, "hpamg top: no samples in %s\n", path.c_str());
       return 1;
     }
     if (follow)
@@ -361,3 +349,5 @@ int main(int argc, char** argv) {
   } while (follow);
   return 0;
 }
+
+}  // namespace hpamg::tool

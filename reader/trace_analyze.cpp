@@ -1,10 +1,10 @@
-#include "support/trace_analyze.hpp"
+#include "reader/trace_analyze.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <set>
 #include <stdexcept>
 
-#include "support/metrics.hpp"
+#include "support/report.hpp"
 
 namespace hpamg::trace_analyze {
 
@@ -21,12 +21,26 @@ double clamp(double v, double lo, double hi) {
 
 }  // namespace
 
-Timeline parse_timeline(const JsonValue& doc) {
+Timeline parse_timeline(std::string_view json_text) {
+  JsonValue doc;
+  try {
+    doc = json_parse(json_text);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument(std::string("parse error: ") + e.what());
+  }
   const JsonValue* events = doc.find("traceEvents");
   if (events == nullptr || !events->is_array())
-    throw std::invalid_argument(
-        "trace_analyze: no traceEvents array (not a Chrome trace)");
+    throw std::invalid_argument("traceEvents array missing");
   Timeline t;
+  auto expect = [&t](bool ok, const char* problem) {
+    if (!ok) t.problems.emplace_back(problem);
+  };
+  const JsonValue* other = doc.find("otherData");
+  expect(doc.find("displayTimeUnit") != nullptr, "displayTimeUnit missing");
+  expect(other != nullptr && other->is_object(), "otherData missing");
+
+  std::map<std::pair<int, int>, double> last_ts;  // per-track monotonicity
+  std::set<long long> duplicate_ids;
   for (const JsonValue& e : events->items) {
     const JsonValue* ph = e.find("ph");
     if (ph == nullptr || !ph->is_string()) continue;
@@ -41,7 +55,12 @@ Timeline parse_timeline(const JsonValue& doc) {
       continue;
     }
     const JsonValue* ts = e.find("ts");
+    expect(ts != nullptr && ts->is_number(), "event without ts");
     if (ts == nullptr || !ts->is_number()) continue;
+    double& prev = last_ts[{pid, tid}];
+    expect(ts->number + 1e-9 >= prev,
+           "non-monotonic timestamps within a track");
+    prev = std::max(prev, ts->number);
     if (ph->text == "X") {
       SpanRec s;
       const JsonValue* name = e.find("name");
@@ -50,15 +69,20 @@ Timeline parse_timeline(const JsonValue& doc) {
       s.pid = pid;
       s.tid = tid;
       s.ts_us = ts->number;
-      s.dur_us = e.find("dur") ? e.find("dur")->number : 0.0;
+      const JsonValue* dur = e.find("dur");
+      expect(dur != nullptr && dur->is_number(), "span without dur");
+      s.dur_us = dur ? dur->number : 0.0;
+      expect(s.dur_us >= 0.0, "negative span duration");
       t.spans.push_back(std::move(s));
     } else if (ph->text == "s" || ph->text == "f") {
       const JsonValue* id = e.find("id");
+      expect(id != nullptr && id->is_number(), "flow event without id");
       if (id == nullptr || !id->is_number()) continue;
       auto& pair = t.flows[(long long)id->number];
       FlowEnd& end = ph->text == "s" ? pair.first : pair.second;
       if (end.present) {
         ++t.duplicate_flow_ids;
+        duplicate_ids.insert((long long)id->number);
         continue;
       }
       end.present = true;
@@ -70,23 +94,28 @@ Timeline parse_timeline(const JsonValue& doc) {
           end.bytes = (long long)bytes->number;
     }
   }
-  if (const JsonValue* other = doc.find("otherData")) {
-    for (const auto& [k, v] : other->members) {
-      if (k == "dropped_events") {
-        t.dropped_total = (long long)v.number;
-      } else if (k == "dropped_by_track") {
-        for (const auto& [track, n] : v.members)
-          t.dropped_by_track[track] = (long long)n.number;
-      } else if (v.is_string()) {
-        t.metadata[k] = v.text;
+  if (other != nullptr) {
+    if (const JsonValue* d = other->find("dropped_events"))
+      t.dropped_total = (long long)d->number;
+    if (const JsonValue* by_track = other->find("dropped_by_track")) {
+      long long sum = 0;
+      for (const auto& [track, n] : by_track->members) {
+        t.dropped_by_track[track] = (long long)n.number;
+        sum += (long long)n.number;
       }
+      expect(sum == t.dropped_total,
+             "dropped_by_track does not sum to dropped_events");
     }
   }
+  t.problems.insert(t.problems.end(), duplicate_ids.size(),
+                    "duplicate flow id (multiple sends or recvs)");
+  bool unmatched = false;
+  for (const auto& [id, pair] : t.flows)
+    unmatched = unmatched || !pair.first.present || !pair.second.present;
+  // A half-arrow with nothing dropped means the tracer lost an event.
+  expect(t.dropped_total > 0 || !unmatched,
+         "unmatched flow arrows in a trace reporting zero drops");
   return t;
-}
-
-Timeline parse_timeline_text(std::string_view json_text) {
-  return parse_timeline(json_parse(json_text));
 }
 
 Analysis analyze(const Timeline& tl) {
@@ -94,8 +123,9 @@ Analysis analyze(const Timeline& tl) {
   for (const auto& [id, pair] : tl.flows)
     if (!pair.first.present || !pair.second.present) ++out.unmatched_flows;
 
-  // ---- self time (identical algorithm to trace_summary: start-sorted,
-  // parents first, nested durations subtracted from the innermost parent).
+  // ---- self time: start-sorted, parents first, nested durations
+  // subtracted from the innermost parent (so "blocked" time inside
+  // mpi.recv is not also counted as compute in the enclosing kernel).
   std::vector<SpanRec> spans = tl.spans;
   std::stable_sort(spans.begin(), spans.end(),
                    [](const SpanRec& a, const SpanRec& b) {
@@ -112,7 +142,14 @@ Analysis analyze(const Timeline& tl) {
               stack.back()->ts_us + stack.back()->dur_us <= s.ts_us))
         stack.pop_back();
       s.self_us = s.dur_us;
-      if (!stack.empty()) stack.back()->self_us -= s.dur_us;
+      KernelTime& k = out.kernel_times[s.name];
+      ++k.count;
+      k.total_us += s.dur_us;
+      k.self_us += s.dur_us;
+      if (!stack.empty()) {
+        stack.back()->self_us -= s.dur_us;
+        out.kernel_times[stack.back()->name].self_us -= s.dur_us;
+      }
       stack.push_back(&s);
     }
   }
@@ -145,16 +182,12 @@ Analysis analyze(const Timeline& tl) {
       send_ends[{pair.first.pid, pair.first.tid}].push_back(
           {pair.first.ts_us, id});
   }
-  for (auto& [track, v] : recv_ends)
-    std::sort(v.begin(), v.end(),
-              [](const TrackFlow& a, const TrackFlow& b) {
-                return a.ts_us < b.ts_us;
-              });
-  for (auto& [track, v] : send_ends)
-    std::sort(v.begin(), v.end(),
-              [](const TrackFlow& a, const TrackFlow& b) {
-                return a.ts_us < b.ts_us;
-              });
+  for (auto* ends : {&recv_ends, &send_ends})
+    for (auto& [track, v] : *ends)
+      std::sort(v.begin(), v.end(),
+                [](const TrackFlow& a, const TrackFlow& b) {
+                  return a.ts_us < b.ts_us;
+                });
 
   // First unconsumed flow endpoint inside [ts, ts+dur] on `track`;
   // nullptr when none.
@@ -354,31 +387,6 @@ Analysis analyze(const Timeline& tl) {
     out.critical_path_us += seg.end_us - seg.start_us;
   out.critical_path_us += out.critical_transfer_us;
   return out;
-}
-
-void publish_metrics(const Analysis& a) {
-  if (!metrics::enabled()) return;
-  double late_s = 0.0, late_r = 0.0, coll = 0.0, transfer = 0.0,
-         unattr = 0.0, blocked = 0.0;
-  for (const RankWait& r : a.ranks) {
-    late_s += r.late_sender_us;
-    late_r += r.late_receiver_us;
-    coll += r.wait_collective_us;
-    transfer += r.transfer_us;
-    unattr += r.unattributed_us;
-    blocked += r.blocked_us;
-  }
-  constexpr double kUs = 1e-6;
-  metrics::gauge("comm.wait.late_sender_s").set(late_s * kUs);
-  metrics::gauge("comm.wait.late_receiver_s").set(late_r * kUs);
-  metrics::gauge("comm.wait.collective_s").set(coll * kUs);
-  metrics::gauge("comm.wait.transfer_s").set(transfer * kUs);
-  metrics::gauge("comm.wait.unattributed_s").set(unattr * kUs);
-  metrics::gauge("comm.wait.blocked_s").set(blocked * kUs);
-  metrics::gauge("comm.wait.critical_path_s")
-      .set(a.critical_path_us * kUs);
-  if (!a.kernels.empty())
-    metrics::gauge("comm.wait.max_imbalance").set(a.kernels[0].imbalance);
 }
 
 }  // namespace hpamg::trace_analyze

@@ -1,8 +1,11 @@
-// Wait-state classification over exported Chrome traces (Scalasca-style).
+// Chrome-trace reader and wait-state classification (Scalasca-style).
 //
-// Consumes the trace-event JSON that support/trace.cpp exports and answers
-// "why was this rank blocked": every microsecond of "blocked"-category self
-// time is classified as
+// parse_timeline() reads the trace-event JSON that support/trace.cpp
+// exports and records every schema or consistency violation it meets in
+// Timeline::problems (`hpamg trace --check` fails on any). analyze() then
+// runs the one self-time walk (nested span durations subtracted from the
+// innermost enclosing span) and answers "why was this rank blocked": every
+// microsecond of "blocked"-category self time is classified as
 //
 //   late_sender       recv posted before the matching send happened —
 //                     the receiver waited for a late sender
@@ -16,22 +19,21 @@
 //   unattributed      blocked spans whose flow arrow is unmatched (lost to
 //                     ring wraparound) or whose collective instance cannot
 //                     be aligned across ranks — reported explicitly instead
-//                     of skewing the other buckets (see ISSUE 8 satellite).
+//                     of skewing the other buckets.
 //
-// The five buckets sum exactly to the rank's blocked self time as
-// trace_summary computes it (same enclosing-span subtraction), which is the
-// cross-tool invariant perf_report --check enforces.
+// The five buckets partition the rank's blocked self time exactly, which
+// `hpamg perf --check` enforces.
 //
-// Also derived: per-kernel load imbalance (max/avg self time across ranks)
-// and an approximate cross-rank critical path (backward replay from the
-// latest-finishing rank, hopping send->recv flow arrows).
+// Also derived: per-kernel self/total time over all tracks, per-kernel
+// load imbalance (max/avg self time across ranks) and an approximate
+// cross-rank critical path (backward replay from the latest-finishing
+// rank, hopping send->recv flow arrows).
 #pragma once
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "support/report.hpp"
 
 namespace hpamg::trace_analyze {
 
@@ -51,12 +53,20 @@ struct FlowEnd {
   int pid = 0;
   int tid = 0;
   double ts_us = 0.0;
-  long long bytes = 0;
+  long long bytes = -1;  ///< args.bytes; -1 when the event carries none
   bool present = false;
 };
 
 /// Parsed timeline: everything analyze() needs, separated from the JSON.
 struct Timeline {
+  /// Violations met while parsing, in the order found: a missing
+  /// displayTimeUnit or otherData, an event without ts, a timestamp going
+  /// backwards within a track, a span without dur or with a negative one,
+  /// a flow event without id, dropped_by_track not summing to
+  /// dropped_events, a duplicate flow id, and unmatched flow arrows in a
+  /// trace that reports zero drops (with drops, a half-arrow is expected
+  /// ring wraparound).
+  std::vector<std::string> problems;
   std::map<int, std::string> process_names;
   std::vector<SpanRec> spans;
   /// flow id -> (send endpoint, recv endpoint); a half-arrow leaves the
@@ -66,13 +76,11 @@ struct Timeline {
   long long duplicate_flow_ids = 0;
   long long dropped_total = 0;  ///< otherData.dropped_events
   std::map<std::string, long long> dropped_by_track;
-  std::map<std::string, std::string> metadata;  ///< otherData string fields
 };
 
 /// Parses an exported Chrome trace document. Throws std::invalid_argument
-/// on JSON that does not look like a trace (no traceEvents array).
-Timeline parse_timeline(const JsonValue& doc);
-Timeline parse_timeline_text(std::string_view json_text);
+/// on malformed JSON or JSON that is not a trace (no traceEvents array).
+Timeline parse_timeline(std::string_view json_text);
 
 /// Per-rank (per-pid) wait-state classification, all in microseconds.
 /// Invariant: late_sender + late_receiver + wait_collective + transfer +
@@ -81,7 +89,7 @@ struct RankWait {
   int pid = 0;
   std::string name;        ///< process name ("rank 3", "host")
   double compute_us = 0.0;  ///< non-"blocked" self time
-  double blocked_us = 0.0;  ///< "blocked" self time (trace_summary's total)
+  double blocked_us = 0.0;  ///< "blocked" self time
   double late_sender_us = 0.0;
   double late_receiver_us = 0.0;
   double wait_collective_us = 0.0;
@@ -106,7 +114,15 @@ struct CriticalSegment {
   double end_us = 0.0;
 };
 
+/// One kernel's time over all tracks. self_us is not clamped at 0.
+struct KernelTime {
+  long count = 0;
+  double total_us = 0.0;  ///< sum of span durations (children included)
+  double self_us = 0.0;   ///< durations minus time in nested spans
+};
+
 struct Analysis {
+  std::map<std::string, KernelTime> kernel_times;  ///< by span name
   std::vector<RankWait> ranks;             ///< sorted by pid
   std::vector<KernelImbalance> kernels;    ///< sorted worst-first
   std::vector<CriticalSegment> critical_path;  ///< in time order
@@ -117,9 +133,5 @@ struct Analysis {
 
 /// Runs the full classification. Pure function of the timeline.
 Analysis analyze(const Timeline& t);
-
-/// Publishes the analysis as comm.wait.* gauges (seconds, summed over
-/// ranks) when the metrics registry is enabled; no-op otherwise.
-void publish_metrics(const Analysis& a);
 
 }  // namespace hpamg::trace_analyze

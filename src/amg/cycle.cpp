@@ -31,7 +31,7 @@ void sweep_column(const Hierarchy& h, Level& L, const Vector& b, Vector& x,
       break;
   }
   if (!L.gs_base) return;
-  const bool cf = h.opts.cf_smoothing && L.nc > 0 && !L.cf.empty();
+  const bool cf = L.nc > 0 && !L.cf.empty();
   const signed char* cfm = cf ? L.cf.data() : nullptr;
   if (!cfm) {
     L.gs_base->sweep(L.A, b, x, temp, true, nullptr, 0, wc);
@@ -78,7 +78,7 @@ void smooth(const Hierarchy& h, Level& L, Int m, bool pre, bool zero_init,
   const double* b = L.b.data();
   double* x = L.x.data();
   double* temp = L.temp.data();
-  const bool cf = o.cf_smoothing && L.nc > 0;
+  const bool cf = L.nc > 0;
   for (Int sweep = 0; sweep < o.num_sweeps; ++sweep) {
     const bool zi = zero_init && sweep == 0;
     if (jacobi) {

@@ -62,6 +62,17 @@ CSRMatrix regularize_diagonal(const CSRMatrix& A, double shift) {
   return CSRMatrix::from_triplets(A.nrows, A.ncols, std::move(trip));
 }
 
+std::string regularize_coarsest(CSRMatrix& A) {
+  double dmax = 0.0;
+  const Int bad = count_degenerate_diag(A, &dmax);
+  if (bad == 0) return "";
+  // The coarsest operator is a preconditioner component, so a tiny
+  // perturbation costs iterations, not correctness.
+  A = regularize_diagonal(A, dmax > 0.0 ? 1e-8 * dmax : 1.0);
+  return "regularized coarse solve: " + std::to_string(bad) +
+         " degenerate diagonal(s) shifted on the coarsest level";
+}
+
 namespace {
 
 /// Interpolation dispatch for a single (non-2-stage) level.
@@ -201,17 +212,7 @@ void coarsest_step(Hierarchy& h, CSRMatrix A, PhaseTimes* pt,
   Level& C = h.levels.back();
   attrib::Probe probe("setup.coarse_solver", int(h.num_levels() - 1),
                       "Setup_etc", pt, nullptr, wc);
-  double dmax = 0.0;
-  if (Int bad = count_degenerate_diag(A, &dmax); bad > 0) {
-    // Regularized coarse solve: shift the broken diagonals so the LU /
-    // smoother stay finite. The coarsest operator is a preconditioner
-    // component, so a tiny perturbation costs iterations, not
-    // correctness; the incident is recorded for the `status` block.
-    const double shift = dmax > 0.0 ? 1e-8 * dmax : 1.0;
-    A = regularize_diagonal(A, shift);
-    std::string ev = "regularized coarse solve: " + std::to_string(bad) +
-                     " degenerate diagonal(s) shifted on the coarsest "
-                     "level";
+  if (std::string ev = regularize_coarsest(A); !ev.empty()) {
     HPAMG_LOG_WARN("amg setup: %s", ev.c_str());
     h.events.push_back(std::move(ev));
   }

@@ -64,7 +64,6 @@ struct AMGOptions {
   /// Cycle index gamma: 1 = V-cycle (the paper's configuration), 2 =
   /// W-cycle (more coarse-grid work per cycle, sometimes fewer cycles).
   Int cycle_gamma = 1;
-  bool cf_smoothing = true;  ///< C-then-F pre-smoothing, F-then-C post
   std::uint64_t seed = 1234;
   RngKind rng = RngKind::kParallelCounter;
 };
@@ -159,9 +158,15 @@ Int count_degenerate_diag(const CSRMatrix& A,
 
 /// Returns A with every degenerate diagonal replaced by `shift`
 /// (structurally inserted when absent) and non-finite off-diagonals
-/// zeroed — the regularized-coarse-solve fallback shared by the
-/// single-node and distributed setups.
+/// zeroed.
 CSRMatrix regularize_diagonal(const CSRMatrix& A, double shift);
+
+/// The regularized-coarse-solve fallback shared by the single-node and
+/// distributed setups: when A has degenerate diagonals, shifts them in
+/// place by 1e-8 of the largest healthy |diagonal| (1 when none is
+/// healthy) and returns the incident for the status events; returns ""
+/// and leaves A untouched otherwise.
+std::string regularize_coarsest(CSRMatrix& A);
 
 /// Numeric re-setup for new values on the pattern h was built from: every
 /// level keeps its C/F split, permutation and transfers, and setup's own

@@ -493,17 +493,9 @@ DistHierarchy dist_amg_setup(simmpi::Comm& comm, const DistMatrix& A_in,
     L.A = std::move(A);
     h.coarse_starts = L.A.row_starts;
     CSRMatrix full = gather_csr(comm, L.A);
-    double dmax = 0.0;
-    if (Int bad = count_degenerate_diag(full, &dmax); bad > 0) {
-      // Regularized coarse solve (same fallback as the single-node setup):
-      // shift the broken diagonals so the replicated LU stays finite. The
-      // check runs on the gathered operator, so every rank records the
-      // same incident.
-      const double shift = dmax > 0.0 ? 1e-8 * dmax : 1.0;
-      full = regularize_diagonal(full, shift);
-      std::string ev = "regularized coarse solve: " + std::to_string(bad) +
-                       " degenerate diagonal(s) shifted on the coarsest "
-                       "level";
+    // The check runs on the gathered operator, so every rank records the
+    // same incident.
+    if (std::string ev = regularize_coarsest(full); !ev.empty()) {
       if (comm.rank() == 0) HPAMG_LOG_WARN("dist setup: %s", ev.c_str());
       h.events.push_back(std::move(ev));
     }

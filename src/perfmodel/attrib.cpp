@@ -94,7 +94,7 @@ std::vector<RooflineEntry> snapshot() { return snapshot(machine()); }
 
 void publish_metrics(const std::vector<RooflineEntry>& entries) {
   if (!metrics::enabled()) return;
-  // Level-summed per kernel: the gauges are for benchdiff trend lines, and
+  // Level-summed per kernel: the gauges are for `hpamg diff` trend lines, and
   // a per-level explosion there would drown the envelope diff.
   std::map<std::string, RooflineEntry> by_kernel;
   for (const RooflineEntry& e : entries) {

@@ -36,7 +36,7 @@
 // Observability: all decision points publish `service.*` metrics
 // (support/metrics.hpp), so the PR-9 live sampler exports queue depth,
 // in-flight count, rejects and breaker state to metrics.prom and
-// hpamg_top renders them. Internal stats mirror the counters
+// `hpamg top` renders them. Internal stats mirror the counters
 // unconditionally so tests need not enable the registry.
 #pragma once
 

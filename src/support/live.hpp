@@ -11,7 +11,7 @@
 //     append-only JSONL *progress stream* (progress.jsonl, one JSON object
 //     per line) and a Prometheus-style *text exposition file*
 //     (metrics.prom, written to a temp file and atomically renamed per
-//     scrape, so external tooling never reads a torn file). bench/hpamg_top
+//     scrape, so external tooling never reads a torn file). `hpamg top`
 //     tails the stream and renders it live.
 //
 //   - A per-rank **heartbeat**: solver drivers publish (iteration, level,
@@ -154,7 +154,7 @@ inline void beat_phase(const char* phase, std::int64_t level = -1) {
 
 /// Blocked-time accounting (simmpi bounded waits feed this): nanoseconds
 /// the calling thread's rank just spent blocked. The sampler differences
-/// successive values into the per-interval blocked fraction hpamg_top
+/// successive values into the per-interval blocked fraction `hpamg top`
 /// shows.
 inline void add_blocked_ns(std::uint64_t ns) {
   if (enabled()) detail::add_blocked_ns_slow(ns);

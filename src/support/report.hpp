@@ -5,9 +5,9 @@
 // behind its `--json <path>` flag.
 //
 // The emitted field names are the repo's perf-trajectory schema: CI
-// validates them (bench/check_report.cpp, the `report_schema` target) and
-// tests/test_report.cpp pins them as a golden schema, so renaming a field
-// is a deliberate, test-visible act. Schema reference: README.md
+// validates them (reader/validate.hpp, run by `hpamg check` and the
+// `report_schema` target) and tests/test_report.cpp pins them as a golden
+// schema, so renaming a field is a deliberate, test-visible act. Schema reference: README.md
 // ("Machine-readable bench output").
 #pragma once
 
@@ -332,16 +332,5 @@ class BenchReport {
   std::vector<std::unique_ptr<Run>> runs_;
   std::optional<MetricsEnvelope> metrics_;
 };
-
-/// Validates a BENCH_*.json document against the envelope schema and, for
-/// every run carrying a "report", the SolveReport schema. With
-/// `require_solve`, at least one run must carry a report with >= 1
-/// iteration (the CI perf-trajectory contract for the solver benches).
-/// With `require_metrics`, the envelope must carry a "metrics" block (it
-/// is validated whenever present). Returns "" when valid, else a
-/// description of the first violation.
-std::string validate_bench_report_json(std::string_view json_text,
-                                       bool require_solve = false,
-                                       bool require_metrics = false);
 
 }  // namespace hpamg

@@ -371,7 +371,7 @@ std::string export_chrome_json() {
 
   std::uint64_t dropped = 0;
   // Per-track drop counts exported alongside the aggregate: consumers
-  // (trace_summary, trace_analyze) need to know WHICH thread wrapped its
+  // (reader/trace_analyze) need to know WHICH thread wrapped its
   // ring, because an unmatched flow arrow on a dropped-events track is
   // wraparound, not a tracer bug.
   std::vector<std::pair<const TrackBuffer*, std::uint64_t>> dropped_tracks;

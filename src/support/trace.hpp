@@ -16,7 +16,7 @@
 //     receive so cross-rank message dependencies render as arrows.
 // Spans recorded while a rank waits inside simmpi carry the "blocked"
 // category, which keeps wait time separable from compute in
-// bench/trace_summary.cpp.
+// `hpamg trace` (reader/trace_analyze.hpp).
 //
 // Tracks: simmpi rank r records as Chrome process r+1 ("rank r"); threads
 // outside a rank (single-node benches) record under process 0 ("host").

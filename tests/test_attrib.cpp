@@ -1,10 +1,12 @@
 // Performance-attribution layer: roofline closed forms (perfmodel/attrib)
 // and their agreement with the solve's per-level telemetry,
-// wait-state classification over synthetic traces (support/trace_analyze),
+// wait-state classification over synthetic traces (reader/trace_analyze),
 // per-iteration telemetry entries and their JSON round-trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "amg/solver.hpp"
 #include "amg/telemetry.hpp"
@@ -13,7 +15,7 @@
 #include "perfmodel/network.hpp"
 #include "support/metrics.hpp"
 #include "support/report.hpp"
-#include "support/trace_analyze.hpp"
+#include "reader/trace_analyze.hpp"
 
 namespace hpamg {
 namespace {
@@ -182,7 +184,7 @@ TEST(TraceAnalyze, LateSenderClassified) {
     {"ph":"s","id":1,"pid":1,"tid":0,"ts":180,"args":{"bytes":64}}
   ],"otherData":{}})";
   const auto an = trace_analyze::analyze(
-      trace_analyze::parse_timeline_text(trace));
+      trace_analyze::parse_timeline(trace));
   ASSERT_EQ(an.ranks.size(), 2u);
   const auto& r0 = an.ranks[0];
   EXPECT_EQ(r0.name, "rank 0");
@@ -212,7 +214,7 @@ TEST(TraceAnalyze, LateReceiverClassified) {
     {"ph":"f","id":2,"pid":1,"tid":0,"ts":40}
   ],"otherData":{}})";
   const auto an = trace_analyze::analyze(
-      trace_analyze::parse_timeline_text(trace));
+      trace_analyze::parse_timeline(trace));
   ASSERT_EQ(an.ranks.size(), 2u);
   const auto& r0 = an.ranks[0];
   EXPECT_NEAR(r0.late_receiver_us, 40.0, 1e-9);
@@ -237,7 +239,7 @@ TEST(TraceAnalyze, CollectiveImbalanceAndUnalignedInstance) {
     {"ph":"X","name":"mpi.allreduce","cat":"blocked","pid":1,"tid":0,"ts":100,"dur":20}
   ],"otherData":{}})";
   const auto an = trace_analyze::analyze(
-      trace_analyze::parse_timeline_text(trace));
+      trace_analyze::parse_timeline(trace));
   ASSERT_EQ(an.ranks.size(), 2u);
   const auto& r0 = an.ranks[0];
   EXPECT_NEAR(r0.wait_collective_us, 80.0, 1e-9);
@@ -259,7 +261,7 @@ TEST(TraceAnalyze, UnmatchedFlowGoesUnattributed) {
     {"ph":"f","id":9,"pid":0,"tid":0,"ts":25}
   ],"otherData":{}})";
   const auto an = trace_analyze::analyze(
-      trace_analyze::parse_timeline_text(trace));
+      trace_analyze::parse_timeline(trace));
   ASSERT_EQ(an.ranks.size(), 1u);
   EXPECT_EQ(an.unmatched_flows, 1);
   EXPECT_NEAR(an.ranks[0].unattributed_us, 30.0, 1e-9);
@@ -274,7 +276,7 @@ TEST(TraceAnalyze, KernelImbalanceRanksWorstFirst) {
     {"ph":"X","name":"spmv","cat":"kernel","pid":1,"tid":0,"ts":40,"dur":10}
   ],"otherData":{}})";
   const auto an = trace_analyze::analyze(
-      trace_analyze::parse_timeline_text(trace));
+      trace_analyze::parse_timeline(trace));
   ASSERT_FALSE(an.kernels.empty());
   EXPECT_EQ(an.kernels[0].kernel, "gs");  // max/avg = 30/20 = 1.5
   EXPECT_NEAR(an.kernels[0].imbalance, 1.5, 1e-9);
@@ -283,8 +285,60 @@ TEST(TraceAnalyze, KernelImbalanceRanksWorstFirst) {
 }
 
 TEST(TraceAnalyze, RejectsNonTraceJson) {
-  EXPECT_THROW(trace_analyze::parse_timeline_text(R"({"runs": []})"),
+  EXPECT_THROW(trace_analyze::parse_timeline(R"({"runs": []})"),
                std::invalid_argument);
+}
+
+TEST(TraceAnalyze, ParserRecordsEachProblemClass) {
+  // One trace per violation class; each must yield exactly its own
+  // problem, and the clean trace none.
+  auto trace = [](const std::string& events, const std::string& other) {
+    return R"({"traceEvents":[)" + events +
+           R"(],"displayTimeUnit":"ms","otherData":{)" + other + "}}";
+  };
+  const std::string span =
+      R"({"ph":"X","name":"k","cat":"kernel","pid":0,"tid":0,"ts":10,"dur":5})";
+  const std::string send = R"({"ph":"s","id":7,"pid":0,"tid":0,"ts":20})";
+  const std::string recv = R"({"ph":"f","id":7,"pid":1,"tid":0,"ts":30})";
+  const std::string zero = R"("dropped_events":0)";
+  struct Case {
+    std::string trace;
+    std::string problem;
+  };
+  const std::vector<Case> cases = {
+      {trace(R"({"ph":"X","name":"k","pid":0,"tid":0,"dur":5})", zero),
+       "event without ts"},
+      {trace(span + R"(,{"ph":"X","name":"k","pid":0,"tid":0,"ts":3,"dur":1})",
+             zero),
+       "non-monotonic timestamps within a track"},
+      {trace(R"({"ph":"X","name":"k","pid":0,"tid":0,"ts":3})", zero),
+       "span without dur"},
+      {trace(R"({"ph":"X","name":"k","pid":0,"tid":0,"ts":3,"dur":-1})",
+             zero),
+       "negative span duration"},
+      {trace(R"({"ph":"s","pid":0,"tid":0,"ts":3})", zero),
+       "flow event without id"},
+      {trace(send + "," + send + "," + recv, zero),
+       "duplicate flow id (multiple sends or recvs)"},
+      {trace(send, zero),
+       "unmatched flow arrows in a trace reporting zero drops"},
+      {trace(span, R"("dropped_events":3,"dropped_by_track":{"rank 0/0":2})"),
+       "dropped_by_track does not sum to dropped_events"},
+  };
+  for (const Case& c : cases) {
+    const trace_analyze::Timeline t = trace_analyze::parse_timeline(c.trace);
+    ASSERT_EQ(t.problems.size(), 1u) << c.problem;
+    EXPECT_EQ(t.problems[0], c.problem);
+  }
+  EXPECT_TRUE(
+      trace_analyze::parse_timeline(trace(span + "," + send + "," + recv,
+                                          zero))
+          .problems.empty());
+  // With drops reported, a half-arrow is expected ring wraparound.
+  EXPECT_TRUE(trace_analyze::parse_timeline(
+                  trace(send, R"("dropped_events":1,)"
+                              R"("dropped_by_track":{"rank 0/0":1})"))
+                  .problems.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -393,16 +447,6 @@ TEST(Metrics, WaitAndPerfGaugesPublished) {
   attrib::publish_metrics(attrib::snapshot(flat_model()));
   EXPECT_GT(metrics::gauge("perf.kernel.spmv.seconds").value(), 0.0);
   EXPECT_GT(metrics::gauge("perf.kernel.spmv.bw_fraction").value(), 0.0);
-
-  const char* trace = R"({"traceEvents":[
-    {"ph":"X","name":"mpi.recv","cat":"blocked","pid":0,"tid":0,"ts":0,"dur":30},
-    {"ph":"f","id":9,"pid":0,"tid":0,"ts":25}
-  ],"otherData":{}})";
-  trace_analyze::publish_metrics(
-      trace_analyze::analyze(trace_analyze::parse_timeline_text(trace)));
-  EXPECT_NEAR(metrics::gauge("comm.wait.blocked_s").value(), 30e-6, 1e-12);
-  EXPECT_NEAR(metrics::gauge("comm.wait.unattributed_s").value(), 30e-6,
-              1e-12);
   attrib::reset();
   metrics::reset();
   metrics::disable();

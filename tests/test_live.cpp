@@ -172,7 +172,7 @@ TEST_F(Live, ProgressStreamAndExpositionFilesAreWellFormed) {
   live::stop();
   metrics::reset();
 
-  // Every progress line parses and carries the schema hpamg_top renders.
+  // Every progress line parses and carries the schema `hpamg top` renders.
   std::ifstream in(dir / "progress.jsonl");
   ASSERT_TRUE(in.good());
   std::string line;

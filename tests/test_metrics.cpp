@@ -1,6 +1,6 @@
 // Tests for the metrics registry (support/metrics.hpp), the memory
 // accounting embedded in solver reports, and the bench-regression diff
-// (support/report_diff.hpp) behind bench/benchdiff.
+// (reader/report_diff.hpp) behind `hpamg diff`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,10 @@
 #include "amg/solver.hpp"
 #include "dist/simmpi.hpp"
 #include "gen/stencil.hpp"
+#include "reader/report_diff.hpp"
+#include "reader/validate.hpp"
 #include "support/metrics.hpp"
 #include "support/report.hpp"
-#include "support/report_diff.hpp"
 
 using namespace hpamg;
 
@@ -294,7 +295,7 @@ TEST(MemoryReport, LevelBytesMatchHandComputedCsrFootprints) {
 }
 
 // ------------------------------------------------------------------------
-// benchdiff verdicts on synthetic report pairs
+// `hpamg diff` verdicts on synthetic report pairs
 // ------------------------------------------------------------------------
 
 namespace {

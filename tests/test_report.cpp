@@ -10,6 +10,7 @@
 
 #include "amg/solver.hpp"
 #include "gen/stencil.hpp"
+#include "reader/validate.hpp"
 #include "support/report.hpp"
 
 namespace hpamg {
@@ -66,7 +67,7 @@ TEST(JsonWriter, NonFiniteDoublesRoundTripAsNaN) {
   const JsonValue v = json_parse(w.str());
   const JsonValue* relres = v.find("relres");
   ASSERT_NE(relres, nullptr);
-  EXPECT_TRUE(relres->is_null());  // kind preserved: benchdiff skips it
+  EXPECT_TRUE(relres->is_null());  // kind preserved: `hpamg diff` skips it
   EXPECT_TRUE(std::isnan(relres->number));
   const JsonValue* seconds = v.find("seconds");
   ASSERT_NE(seconds, nullptr);
@@ -360,7 +361,7 @@ TEST(ValidateBenchReport, NullResidualTelemetryValidates) {
 
 TEST(ValidateBenchReport, RunLabeledMNeedsPerRhsMetrics) {
   // Multi-RHS sweep runs (label "m") must carry the per-RHS metric trio so
-  // benchdiff can gate the amortization curve.
+  // `hpamg diff` can gate the amortization curve.
   BenchReport good("multirhs");
   good.add_run("m2")
       .label("m", "2")

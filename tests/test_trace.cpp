@@ -210,7 +210,7 @@ TEST(Trace, DeltaSince) {
 
 TEST(TraceSchema, GoldenFieldNames) {
   // The trace JSON is consumed by Perfetto/chrome://tracing and by
-  // bench/trace_summary.cpp; renaming any field breaks both. This test
+  // reader/trace_analyze.cpp; renaming any field breaks both. This test
   // makes that a deliberate act (mirroring test_report.cpp).
   restart_tracing();
   trace::set_thread_track(1, "rank 0", "rank 0");
